@@ -88,7 +88,6 @@ class Dataset:
     feature_names: tuple[str, ...]
     sensitive_col: int | None = None
     group_names: tuple[str, str] = ("s1", "s2")
-    seed_provenance: int | None = None
 
     def __post_init__(self):
         feats = np.ascontiguousarray(np.asarray(self.features, dtype=np.float64))
@@ -134,7 +133,6 @@ class Dataset:
             feature_names=self.feature_names,
             sensitive_col=self.sensitive_col,
             group_names=self.group_names,
-            seed_provenance=self.seed_provenance,
         )
 
 
@@ -311,7 +309,6 @@ def generate_synthetic(cfg: SyntheticConfig) -> Dataset:
         feature_names=("x1", "x2", "xp", "xs"),
         sensitive_col=3,
         group_names=("1", "0"),
-        seed_provenance=cfg.seed,
     )
 
 
@@ -384,7 +381,6 @@ def attach_fake_sensitive(data: Dataset, seed: int) -> Dataset:
         feature_names=data.feature_names + ("fake_sensitive",),
         sensitive_col=feats.shape[1] - 1,
         group_names=("1", "0"),
-        seed_provenance=data.seed_provenance,
     )
 
 
@@ -418,7 +414,6 @@ def pearson_select(data: Dataset, threshold: float) -> Dataset:
         feature_names=tuple(data.feature_names[j] for j in keep),
         sensitive_col=int(np.flatnonzero(keep_arr == data.sensitive_col)[0]),
         group_names=data.group_names,
-        seed_provenance=data.seed_provenance,
     )
 
 

@@ -4,6 +4,12 @@ One fixed architecture: a 2-layer ReLU MLP with a single sigmoid logit,
 plus a logistic linear model whose sensitive-attribute weight can be
 overridden. Includes the second-order path through input gradients needed
 by the attribution-gap loss, and a minimal Adam.
+
+The MLP losses form one engine: a single forward cache (_forward), one
+function per loss term (BCE, attribution gap, DP surrogate) returning its
+value and d(loss)/d(logit), and one backprop. Training sums the terms;
+bce_loss_grads, gpf_loss_grads and train.dp_proxy_grads wrap one term each,
+so the gradient oracles check the code that trains.
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import expit
@@ -134,9 +141,26 @@ def input_gradient(params: MlpParams, x: np.ndarray) -> np.ndarray:
 
 
 def input_gradients(params: MlpParams, X: np.ndarray) -> np.ndarray:
-    pre = X @ params.W1.T + params.b1
-    mask = pre > 0.0
+    return _logit_input_grads(params, X @ params.W1.T + params.b1 > 0.0)
+
+
+def _logit_input_grads(params: MlpParams, mask: np.ndarray) -> np.ndarray:
     return (mask * params.w2) @ params.W1
+
+
+class _Forward(NamedTuple):
+    """One batch's forward pass, shared by every loss term and the backprop."""
+
+    X: np.ndarray
+    mask: np.ndarray  # ReLU gate, pre-activation > 0
+    act: np.ndarray
+    p: np.ndarray  # sigmoid(logit)
+
+
+def _forward(params: MlpParams, X: np.ndarray) -> _Forward:
+    pre = X @ params.W1.T + params.b1
+    act = np.maximum(pre, 0.0)
+    return _Forward(X, pre > 0.0, act, expit(act @ params.w2 + params.b2))
 
 
 def prob_input_gradients(params: MlpParams, X: np.ndarray) -> np.ndarray:
@@ -147,47 +171,28 @@ def prob_input_gradients(params: MlpParams, X: np.ndarray) -> np.ndarray:
     explanation gap, which the plain logit gradient misses whenever that
     reliance is locally linear.
     """
-    pre = X @ params.W1.T + params.b1
-    mask = pre > 0.0
-    z = np.where(mask, pre, 0.0) @ params.w2 + params.b2
-    p = expit(z)
-    return (p * (1.0 - p))[:, None] * ((mask * params.w2) @ params.W1)
+    c = _forward(params, X)
+    return (c.p * (1.0 - c.p))[:, None] * _logit_input_grads(params, c.mask)
 
 
-def bce_loss_grads(
-    params: MlpParams, X: np.ndarray, y: np.ndarray
-) -> tuple[float, dict[str, np.ndarray | float]]:
-    """Mean binary cross-entropy and its exact parameter gradient."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if X.shape[0] == 0:
-        raise ValueError("batch must be non-empty")
-    pre = X @ params.W1.T + params.b1
-    mask = pre > 0.0
-    act = np.where(mask, pre, 0.0)
-    z = act @ params.w2 + params.b2
-    p = expit(z)
+def _bce_term(p: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean binary cross-entropy of probabilities p and its d(loss)/d(logit)
+    per row; the linear model shares it."""
     pc = np.clip(p, _LOG_CLAMP, 1.0 - _LOG_CLAMP)
     loss = float(-(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc)).mean())
-    dz = (p - y) / X.shape[0]
-    grads = _backprop_from_dz(params, X, mask, act, dz)
-    return loss, grads
+    return loss, (p - y) / p.shape[0]
 
 
-def _backprop_from_dz(
-    params: MlpParams,
-    X: np.ndarray,
-    mask: np.ndarray,
-    act: np.ndarray,
-    dz: np.ndarray,
-) -> dict[str, np.ndarray | float]:
-    """Backprop through the MLP given d(loss)/d(logit) per row."""
-    dw2 = act.T @ dz
-    db2 = float(dz.sum())
-    dpre = (dz[:, None] * params.w2) * mask
-    dW1 = dpre.T @ X
-    db1 = dpre.sum(axis=0)
-    return {"W1": dW1, "b1": db1, "w2": dw2, "b2": db2}
+def _dp_term(p: np.ndarray, group: np.ndarray) -> tuple[float, np.ndarray]:
+    """|mean probability over s1 - mean over s2| and its d(loss)/d(logit);
+    the absolute value's subgradient is 0 at the kink."""
+    adv = np.asarray(group) == 1
+    if not adv.any() or adv.all():
+        raise ValueError("dp surrogate needs both groups in the batch")
+    diff = float(p[adv].mean() - p[~adv].mean())
+    sgn = np.sign(diff)
+    dz = np.where(adv, sgn / adv.sum(), -sgn / (~adv).sum()) * p * (1.0 - p)
+    return abs(diff), dz
 
 
 def _pair_sign_scatter(S: np.ndarray, idx1: np.ndarray, idx2: np.ndarray, m: int) -> np.ndarray:
@@ -201,47 +206,72 @@ def _pair_sign_scatter(S: np.ndarray, idx1: np.ndarray, idx2: np.ndarray, m: int
     return R
 
 
-def gpf_loss_grads(
-    params: MlpParams, X: np.ndarray, pairs: PairSet
-) -> tuple[float, dict[str, np.ndarray | float]]:
-    """Mean l1 gap between probability-gradient explanations of paired
-    rows, with its exact parameter gradient.
+def _gap_term(
+    params: MlpParams, c: _Forward, idx1: np.ndarray, idx2: np.ndarray
+) -> tuple[float, np.ndarray, dict[str, np.ndarray]]:
+    """Mean l1 gap between probability-gradient explanations of paired rows.
 
     The explanation is e(x) = sigma'(z) * dz/dx. ReLU masks are held fixed
     while differentiating (their derivative is zero almost everywhere) and
-    the l1 subgradient uses sign(0) = 0. The sigmoid-slope factor is
-    differentiated exactly, which is where the bias gradients come from.
+    the l1 subgradient uses sign(0) = 0. Returns the loss, the sigmoid-slope
+    path as d(loss)/d(logit) (sigma'' = s(1-2p), which is where the bias
+    gradients come from), and the mask path's direct W1/w2 gradient.
     """
+    maskf = c.mask.astype(np.float64)
+    s = c.p * (1.0 - c.p)
+    G = _logit_input_grads(params, maskf)
+    E = s[:, None] * G
+    U = E[idx1] - E[idx2]
+    loss = float(np.abs(U).sum(axis=1).mean())
+    R = _pair_sign_scatter(np.sign(U) / idx1.shape[0], idx1, idx2, c.X.shape[0])
+    sR = s[:, None] * R
+    dz = (R * G).sum(axis=1) * s * (1.0 - 2.0 * c.p)
+    direct = {
+        "W1": (maskf.T @ sR) * params.w2[:, None],
+        "w2": (maskf * (sR @ params.W1.T)).sum(axis=0),
+    }
+    return loss, dz, direct
+
+
+def _backprop_from_dz(
+    params: MlpParams, c: _Forward, dz: np.ndarray, direct: dict | None = None, scale: float = 1.0
+) -> dict[str, np.ndarray | float]:
+    """Backprop through the MLP given d(loss)/d(logit) per row, then add
+    scale times any direct parameter gradient."""
+    dpre = (dz[:, None] * params.w2) * c.mask
+    grads = {
+        "W1": dpre.T @ c.X,
+        "b1": dpre.sum(axis=0),
+        "w2": c.act.T @ dz,
+        "b2": float(dz.sum()),
+    }
+    for key, g in (direct or {}).items():
+        grads[key] = grads[key] + scale * g
+    return grads
+
+
+def bce_loss_grads(
+    params: MlpParams, X: np.ndarray, y: np.ndarray
+) -> tuple[float, dict[str, np.ndarray | float]]:
+    """Mean binary cross-entropy and its exact parameter gradient."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.shape[0] == 0:
+        raise ValueError("batch must be non-empty")
+    c = _forward(params, X)
+    loss, dz = _bce_term(c.p, np.asarray(y, dtype=np.float64))
+    return loss, _backprop_from_dz(params, c, dz)
+
+
+def gpf_loss_grads(
+    params: MlpParams, X: np.ndarray, pairs: PairSet
+) -> tuple[float, dict[str, np.ndarray | float]]:
+    """The attribution-gap loss over pairs (see _gap_term) with its exact
+    parameter gradient."""
     if len(pairs) == 0:
         raise ValueError("pair set must be non-empty")
-    X = np.asarray(X, dtype=np.float64)
-    m, d = X.shape
-    pre = X @ params.W1.T + params.b1
-    mask = pre > 0.0
-    act = np.where(mask, pre, 0.0)
-    z = act @ params.w2 + params.b2
-    p = expit(z)
-    s = p * (1.0 - p)
-    maskf = mask.astype(np.float64)
-    G = (maskf * params.w2) @ params.W1  # logit input-gradients
-    E = s[:, None] * G
-    U = E[pairs.idx1] - E[pairs.idx2]
-    k = len(pairs)
-    loss = float(np.abs(U).sum(axis=1).mean())
-
-    R = _pair_sign_scatter(np.sign(U) / k, pairs.idx1, pairs.idx2, m)
-    sR = s[:, None] * R
-    dW1 = (maskf.T @ sR) * params.w2[:, None]
-    dw2 = (maskf * (sR @ params.W1.T)).sum(axis=0)
-    # slope path: d(sigma')/dtheta = sigma'' dz/dtheta with sigma'' = s(1-2p)
-    c = (R * G).sum(axis=1) * s * (1.0 - 2.0 * p)
-    slope = _backprop_from_dz(params, X, mask, act, c)
-    return loss, {
-        "W1": dW1 + slope["W1"],
-        "b1": slope["b1"],
-        "w2": dw2 + slope["w2"],
-        "b2": slope["b2"],
-    }
+    c = _forward(params, np.asarray(X, dtype=np.float64))
+    loss, dz, direct = _gap_term(params, c, pairs.idx1, pairs.idx2)
+    return loss, _backprop_from_dz(params, c, dz, direct)
 
 
 def adam_init(params) -> AdamState:
@@ -278,14 +308,6 @@ def adam_step(state: AdamState, params, grads: dict, lr: float):
     )
 
 
-def scale_grads(grads: dict, c: float) -> dict:
-    return {k: c * v for k, v in grads.items()}
-
-
-def add_grads(a: dict, b: dict) -> dict:
-    return {k: a[k] + b[k] for k in a}
-
-
 def linear_logits(params: LinearParams, X: np.ndarray) -> np.ndarray:
     return X @ params.w + params.b
 
@@ -299,11 +321,7 @@ def linear_init(d: int, sensitive_index: int, seed: int) -> LinearParams:
 def linear_bce_grads(
     params: LinearParams, X: np.ndarray, y: np.ndarray
 ) -> tuple[float, dict[str, np.ndarray | float]]:
-    z = linear_logits(params, X)
-    p = expit(z)
-    pc = np.clip(p, _LOG_CLAMP, 1.0 - _LOG_CLAMP)
-    loss = float(-(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc)).mean())
-    dz = (p - y) / X.shape[0]
+    loss, dz = _bce_term(expit(linear_logits(params, X)), y)
     return loss, {"w": X.T @ dz, "b": float(dz.sum())}
 
 

@@ -30,8 +30,6 @@ class PairSet:
     idx1: np.ndarray
     idx2: np.ndarray
     distances: np.ndarray
-    metric_tag: str = "euclidean_nonsensitive"
-    deduplicated: bool = True
     exhausted: bool = False
 
     def __post_init__(self):
@@ -108,13 +106,12 @@ def build_pairs(data: Dataset) -> PairSet:
     return PairSet(idx1=uniq[:, 0], idx2=uniq[:, 1], distances=dist[first])
 
 
-def select_eval_pairs(data: Dataset, n: int, seed: int = 0) -> PairSet:
+def select_eval_pairs(data: Dataset, n: int) -> PairSet:
     """The n smallest-distance pairs among all mutual nearest matches.
 
     Candidates are ranked by (distance, idx1, idx2), which makes the result
-    deterministic; the seed is accepted for interface stability but the
-    lexicographic tie-break never needs it. Fewer than n candidates returns
-    all of them with the exhausted flag set.
+    deterministic. Fewer than n candidates returns all of them with the
+    exhausted flag set.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -125,7 +122,5 @@ def select_eval_pairs(data: Dataset, n: int, seed: int = 0) -> PairSet:
         idx1=base.idx1[take],
         idx2=base.idx2[take],
         distances=base.distances[take],
-        metric_tag=base.metric_tag,
-        deduplicated=True,
         exhausted=len(base) < n,
     )

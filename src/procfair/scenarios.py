@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from importlib import resources
 from pathlib import Path
@@ -38,8 +38,7 @@ _TAG_DATA = 0
 _TAG_SPLIT = 1
 _TAG_TRAIN = 2
 _TAG_MMD = 3
-_TAG_PAIRS = 4
-_TAG_BG = 5
+_TAG_BG = 5  # 4 is unused; renumbering would move every repetition's seeds
 _TAG_STEP_BASE = 10
 
 _METRIC_FIELDS = ("accuracy", "dp", "di", "eop", "eod", "gpf_fae", "gpf_loss")
@@ -83,6 +82,8 @@ class ScenarioConfig:
         for step in self.steps:
             if step.get("op") not in _STEP_OPS:
                 raise ValueError(f"unknown preprocessing step {step.get('op')!r}")
+        _reject_unknown_keys("train", self.train, TrainConfig)
+        _reject_unknown_keys("mmd", self.mmd, MmdConfig)
         TrainConfig(**self.train)  # validate eagerly
         MmdConfig(**self.mmd)
         object.__setattr__(self, "steps", tuple(dict(s) for s in self.steps))
@@ -103,6 +104,8 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ScenarioConfig":
+        """Keys starting with '_' are comments; any other unknown key is an error."""
+        _reject_unknown_keys("top-level", {k for k in obj if not k.startswith("_")}, cls)
         return cls(
             scenario_id=obj["scenario_id"],
             dataset=dict(obj["dataset"]),
@@ -123,6 +126,12 @@ class ScenarioConfig:
 
     def hash(self) -> str:
         return config_hash(self.to_dict())
+
+
+def _reject_unknown_keys(section: str, keys, cls) -> None:
+    unknown = sorted(set(keys) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {section} config key(s): {', '.join(unknown)}")
 
 
 @dataclass
@@ -239,7 +248,7 @@ def prepare_repetition(cfg: ScenarioConfig, rep: int):
         stage = "split"
         train_ds, test_ds = split(data, cfg.split_ratio, seed_for(rep_seed, _TAG_SPLIT))
         stage = "evaluate"
-        pairs = select_eval_pairs(test_ds, cfg.n_eval_pairs, seed_for(rep_seed, _TAG_PAIRS))
+        pairs = select_eval_pairs(test_ds, cfg.n_eval_pairs)
         background = sample_background(
             train_ds, cfg.background_size, seed_for(rep_seed, _TAG_BG)
         )

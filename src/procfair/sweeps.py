@@ -18,11 +18,14 @@ from .data import Dataset, SyntheticConfig, dataset_dp, generate_synthetic, pear
 from .fairness import FairnessReport, MmdConfig
 from .model import linear_train, override_sensitive_weight
 from .pairing import select_eval_pairs
+from .scenarios import sample_background
 from .train import TrainConfig, evaluate, train
 from .util import seed_for
 
-# Stage tags for per-sweep seed derivation.
-_TAG_DATA, _TAG_SPLIT, _TAG_FIT, _TAG_PAIRS, _TAG_BG, _TAG_MMD = range(6)
+# Stage tags for per-sweep seed derivation. Tag 3 is unused; renumbering the
+# later tags would move every sweep's seeds.
+_TAG_DATA, _TAG_SPLIT, _TAG_FIT = range(3)
+_TAG_BG, _TAG_MMD = 4, 5
 
 
 @dataclass(frozen=True)
@@ -138,12 +141,8 @@ def sweep_ws(
 
     train_ds, test_ds = split(data, settings.split_ratio, seed_for(seed, _TAG_SPLIT))
     params = linear_train(train_ds, epochs=settings.epochs, lr=settings.lr, seed=seed_for(seed, _TAG_FIT))
-    pairs = select_eval_pairs(test_ds, settings.n_eval_pairs, seed_for(seed, _TAG_PAIRS))
-    bg_rng = np.random.default_rng(seed_for(seed, _TAG_BG))
-    bg_idx = bg_rng.choice(
-        train_ds.n_rows, size=min(settings.background_size, train_ds.n_rows), replace=False
-    )
-    background = train_ds.features[bg_idx]
+    pairs = select_eval_pairs(test_ds, settings.n_eval_pairs)
+    background = sample_background(train_ds, settings.background_size, seed_for(seed, _TAG_BG))
     mmd_cfg = MmdConfig(
         kernel=settings.kernel,
         n_permutations=settings.n_permutations,
@@ -230,10 +229,9 @@ def p_sweep(
         train_ds, test_ds = split(data, settings.split_ratio, seed_for(seed, _TAG_SPLIT, i))
         cfg = replace(train_cfg, epochs=settings.epochs, lr=settings.lr, seed=seed_for(seed, _TAG_FIT, i))
         params, history = train(train_ds, cfg)
-        pairs = select_eval_pairs(test_ds, settings.n_eval_pairs, seed_for(seed, _TAG_PAIRS, i))
-        bg_rng = np.random.default_rng(seed_for(seed, _TAG_BG, i))
-        bg_idx = bg_rng.choice(
-            train_ds.n_rows, size=min(settings.background_size, train_ds.n_rows), replace=False
+        pairs = select_eval_pairs(test_ds, settings.n_eval_pairs)
+        background = sample_background(
+            train_ds, settings.background_size, seed_for(seed, _TAG_BG, i)
         )
         mmd_cfg = MmdConfig(
             kernel=settings.kernel,
@@ -245,7 +243,7 @@ def p_sweep(
             test_ds,
             pairs,
             mmd_cfg,
-            background=train_ds.features[bg_idx],
+            background=background,
             train_seconds=history.seconds,
         )
         rows.append(

@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.special import expit
 
 from .data import Dataset
 from .fairness import (
@@ -31,7 +30,10 @@ from .fairness import (
 from .model import (
     MlpParams,
     _backprop_from_dz,
-    _pair_sign_scatter,
+    _bce_term,
+    _dp_term,
+    _forward,
+    _gap_term,
     adam_init,
     adam_step,
     as_model,
@@ -40,7 +42,6 @@ from .model import (
 from .pairing import PairSet, build_pairs
 
 MODES = ("bce_only", "procedural", "dp_regularized")
-_LOG_CLAMP = 1e-12
 
 
 @dataclass(frozen=True)
@@ -52,7 +53,6 @@ class TrainConfig:
     lr: float = 0.01
     hidden: int = 32
     seed: int = 0
-    pair_refresh: str = "fixed"  # pairs are built once, before the loop
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -63,8 +63,6 @@ class TrainConfig:
             raise ValueError("lr must be positive")
         if self.hidden < 1:
             raise ValueError("hidden must be >= 1")
-        if self.pair_refresh != "fixed":
-            raise ValueError("only pair_refresh='fixed' is supported")
 
 
 @dataclass
@@ -97,63 +95,27 @@ def dp_proxy_grads(params: MlpParams, X: np.ndarray, group: np.ndarray):
     loss = |mean sigmoid(logit) over s1 - mean over s2|; soft predictions
     keep it differentiable, with subgradient 0 at the absolute-value kink.
     """
-    adv = np.asarray(group) == 1
-    if not adv.any() or adv.all():
-        raise ValueError("dp surrogate needs both groups in the batch")
-    X = np.asarray(X, dtype=np.float64)
-    pre = X @ params.W1.T + params.b1
-    mask = pre > 0.0
-    act = np.where(mask, pre, 0.0)
-    z = act @ params.w2 + params.b2
-    p = expit(z)
-    diff = float(p[adv].mean() - p[~adv].mean())
-    sgn = np.sign(diff)
-    dz = np.where(adv, sgn / adv.sum(), -sgn / (~adv).sum()) * p * (1.0 - p)
-    return abs(diff), _backprop_from_dz(params, X, mask, act, dz)
+    c = _forward(params, np.asarray(X, dtype=np.float64))
+    loss, dz = _dp_term(c.p, group)
+    return loss, _backprop_from_dz(params, c, dz)
 
 
 def _fused_epoch(params, X, y, group, idx1, idx2, alpha, beta, mode):
-    """One epoch's losses and combined gradient, sharing a single forward pass."""
-    m = X.shape[0]
-    pre = X @ params.W1.T + params.b1
-    mask = pre > 0.0
-    act = np.where(mask, pre, 0.0)
-    z = act @ params.w2 + params.b2
-    p = expit(z)
-
-    pc = np.clip(p, _LOG_CLAMP, 1.0 - _LOG_CLAMP)
-    bce = float(-(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc)).mean())
-    dz = (p - y) / m
-    gpf_val = 0.0
-    dp_val = 0.0
-
+    """One epoch's (total, bce, gpf, dp_proxy) losses and combined gradient:
+    the mode's loss terms over a single forward pass, backpropagated once."""
+    c = _forward(params, X)
+    bce, dz = _bce_term(c.p, y)
+    gpf_val = dp_val = 0.0
+    direct = None
     if mode == "dp_regularized":
-        adv = group == 1
-        diff = float(p[adv].mean() - p[~adv].mean())
-        sgn = np.sign(diff)
-        dz = dz + beta * (np.where(adv, sgn / adv.sum(), -sgn / (~adv).sum()) * p * (1.0 - p))
-        dp_val = abs(diff)
-
+        dp_val, dz_dp = _dp_term(c.p, group)
+        dz = dz + beta * dz_dp
     if mode == "procedural":
-        maskf = mask.astype(np.float64)
-        s = p * (1.0 - p)
-        G = (maskf * params.w2) @ params.W1
-        E = s[:, None] * G
-        U = E[idx1] - E[idx2]
-        k = idx1.shape[0]
-        gpf_val = float(np.abs(U).sum(axis=1).mean())
-        R = _pair_sign_scatter(np.sign(U) / k, idx1, idx2, m)
-        sR = s[:, None] * R
-        # the sigmoid-slope path folds into dz; the mask path adds directly
-        dz = dz + alpha * ((R * G).sum(axis=1) * s * (1.0 - 2.0 * p))
-        grads = _backprop_from_dz(params, X, mask, act, dz)
-        grads["W1"] = grads["W1"] + alpha * ((maskf.T @ sR) * params.w2[:, None])
-        grads["w2"] = grads["w2"] + alpha * (maskf * (sR @ params.W1.T)).sum(axis=0)
-    else:
-        grads = _backprop_from_dz(params, X, mask, act, dz)
-
+        gpf_val, dz_gap, direct = _gap_term(params, c, idx1, idx2)
+        dz = dz + alpha * dz_gap
+    grads = _backprop_from_dz(params, c, dz, direct, alpha)
     total = bce + alpha * gpf_val + beta * dp_val
-    return total, bce, gpf_val, dp_val, grads
+    return (total, bce, gpf_val, dp_val), grads
 
 
 def train(data: Dataset, cfg: TrainConfig) -> tuple[MlpParams, TrainHistory]:
@@ -168,34 +130,25 @@ def train(data: Dataset, cfg: TrainConfig) -> tuple[MlpParams, TrainHistory]:
     if cfg.mode == "procedural":
         pairs = build_pairs(data)  # raises on single-group data
         idx1, idx2 = pairs.idx1, pairs.idx2
-    elif cfg.mode == "dp_regularized":
-        if not (data.group == 1).any() or not (data.group == 0).any():
-            raise ValueError("dp_regularized training needs both groups present")
 
     params = mlp_init(data.n_features, cfg.hidden, cfg.seed)
     state = adam_init(params)
     y = data.labels.astype(np.float64)
     X = data.features
 
-    totals = np.empty(cfg.epochs)
-    bces = np.empty(cfg.epochs)
-    gpfs = np.empty(cfg.epochs)
-    dps = np.empty(cfg.epochs)
+    losses = np.empty((4, cfg.epochs))  # rows: total, bce, gpf, dp_proxy
     for epoch in range(cfg.epochs):
-        total, bce, gpf_val, dp_val, grads = _fused_epoch(
+        losses[:, epoch], grads = _fused_epoch(
             params, X, y, data.group, idx1, idx2, cfg.alpha, cfg.beta, cfg.mode
         )
-        totals[epoch] = total
-        bces[epoch] = bce
-        gpfs[epoch] = gpf_val
-        dps[epoch] = dp_val
         params, state = adam_step(state, params, grads, cfg.lr)
 
+    total, bce, gpf, dp_proxy = losses
     history = TrainHistory(
-        total=totals,
-        bce=bces,
-        gpf=gpfs,
-        dp_proxy=dps,
+        total=total,
+        bce=bce,
+        gpf=gpf,
+        dp_proxy=dp_proxy,
         seconds=time.perf_counter() - t0,
         params=params,
     )

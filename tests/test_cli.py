@@ -105,6 +105,16 @@ def test_train_then_evaluate(tmp_path):
     assert rep2["gpf_fae"] == report["gpf_fae"]
 
 
+def test_scenario_run_unknown_config_key_exit_1(tmp_path, capsys):
+    out_dir = str(tmp_path / "r")
+    for key, over in (("repetition", {"repetition": 1}),
+                      ("hiden", {"train": {"mode": "bce_only", "epochs": 40, "hiden": 8}}),
+                      ("n_permutation", {"mmd": {"n_permutation": 150}})):
+        cfg = _write_small_scenario(tmp_path, **over)
+        assert main(["scenario", "run", "--config", str(cfg), "--out", out_dir]) == 1
+        assert key in capsys.readouterr().err
+
+
 def test_train_runtime_failure_exit_2(tmp_path):
     cfg = _write_small_scenario(
         tmp_path, dataset={"kind": "csv", "path": "/missing.csv", "schema": "/m.json"}

@@ -83,7 +83,7 @@ def test_build_pairs_row_order_invariance(synth65_small):
 
 
 def test_select_eval_pairs_tie_break_by_index(toy_pair_dataset):
-    ps = select_eval_pairs(toy_pair_dataset, 1, seed=0)
+    ps = select_eval_pairs(toy_pair_dataset, 1)
     # (0, 2) and (1, 3) both sit at distance 1; the lower index wins
     assert _pairs_as_set(ps) == {(0, 2)}
     assert not ps.exhausted
@@ -91,20 +91,20 @@ def test_select_eval_pairs_tie_break_by_index(toy_pair_dataset):
 
 def test_select_eval_pairs_exhaustive_equals_build(synth65_small):
     base = build_pairs(synth65_small)
-    ps = select_eval_pairs(synth65_small, len(base), seed=0)
+    ps = select_eval_pairs(synth65_small, len(base))
     assert _pairs_as_set(ps) == _pairs_as_set(base)
     assert not ps.exhausted
 
 
 def test_select_eval_pairs_exhausted_flag(toy_pair_dataset):
-    ps = select_eval_pairs(toy_pair_dataset, 50, seed=0)
+    ps = select_eval_pairs(toy_pair_dataset, 50)
     assert len(ps) == 2
     assert ps.exhausted
 
 
 def test_select_eval_pairs_smallest_distances(synth65_small):
     base = build_pairs(synth65_small)
-    ps = select_eval_pairs(synth65_small, 100, seed=0)
+    ps = select_eval_pairs(synth65_small, 100)
     assert len(ps) == 100
     cutoff = np.sort(base.distances)[99]
     assert ps.distances.max() <= cutoff

@@ -49,6 +49,17 @@ def test_scenario_config_validation():
         small_scenario(train={"mode": "nope"})
 
 
+def test_scenario_config_rejects_unknown_keys():
+    with pytest.raises(ValueError, match="epoch"):
+        small_scenario(train={"mode": "bce_only", "epoch": 5})
+    with pytest.raises(ValueError, match="permutations"):
+        small_scenario(mmd={"permutations": 200})
+    with pytest.raises(ValueError, match="repetition"):
+        small_scenario(repetition=2)
+    # keys starting with an underscore are comments
+    assert small_scenario(_note="free text").repetitions == 2
+
+
 def test_scenario_config_json_round_trip(tmp_path):
     cfg = small_scenario()
     path = tmp_path / "cfg.json"

@@ -5,9 +5,16 @@ from scipy import stats
 from oracles import config_away_from_kinks, finite_diff_grads, max_rel_error
 from procfair.data import Dataset, SyntheticConfig, generate_synthetic, split
 from procfair.fairness import MmdConfig
-from procfair.model import MlpParams, mlp_init
-from procfair.pairing import select_eval_pairs
-from procfair.train import TrainConfig, dp_proxy_grads, evaluate, train, train_inverse
+from procfair.model import MlpParams, bce_loss_grads, gpf_loss_grads, mlp_init, prob_input_gradients
+from procfair.pairing import PairSet, select_eval_pairs
+from procfair.train import (
+    TrainConfig,
+    _fused_epoch,
+    dp_proxy_grads,
+    evaluate,
+    train,
+    train_inverse,
+)
 
 
 @pytest.fixture(scope="module")
@@ -25,8 +32,6 @@ def test_train_config_validation():
         TrainConfig(lr=0.0)
     with pytest.raises(ValueError, match="hidden"):
         TrainConfig(hidden=0)
-    with pytest.raises(ValueError, match="pair_refresh"):
-        TrainConfig(pair_refresh="every_epoch")
 
 
 def test_alpha_zero_matches_bce_only(small_splits):
@@ -135,9 +140,47 @@ def test_dp_proxy_grads_match_finite_differences():
     assert worst < 1e-5
 
 
+@pytest.mark.parametrize(
+    "mode,alpha,beta",
+    [("bce_only", 0.5, 0.0), ("procedural", 0.5, 0.0), ("procedural", -0.5, 0.0),
+     ("dp_regularized", 0.0, 1.0)],
+)
+def test_fused_epoch_matches_finite_differences_and_standalone_terms(mode, alpha, beta):
+    rng = np.random.default_rng(91)
+    worst = 0.0
+    checked = 0
+    while checked < 10:
+        params, X = config_away_from_kinks(rng, m_range=(8, 14))
+        m = X.shape[0]
+        y = rng.integers(0, 2, m).astype(np.float64)
+        group = rng.integers(0, 2, m)
+        pairs = PairSet(idx1=rng.integers(0, m, m // 2), idx2=rng.integers(0, m, m // 2),
+                        distances=np.zeros(m // 2))
+        if group.sum() in (0, m):
+            continue
+        e = prob_input_gradients(params, X)
+        gaps = np.abs(e[pairs.idx1] - e[pairs.idx2])
+        if gaps[gaps > 0].size == 0 or gaps[gaps > 0].min() < 1e-4:
+            continue  # too close to the l1 kink for finite differences
+        if dp_proxy_grads(params, X, group)[0] < 1e-3:
+            continue  # too close to the absolute-value kink
+
+        def epoch(q):
+            return _fused_epoch(q, X, y, group, pairs.idx1, pairs.idx2, alpha, beta, mode)
+
+        (total, bce, gpf, dp), grads = epoch(params)
+        assert bce == bce_loss_grads(params, X, y)[0]
+        assert gpf == (gpf_loss_grads(params, X, pairs)[0] if mode == "procedural" else 0.0)
+        assert dp == (dp_proxy_grads(params, X, group)[0] if mode == "dp_regularized" else 0.0)
+        assert total == bce + alpha * gpf + beta * dp
+        worst = max(worst, max_rel_error(grads, finite_diff_grads(lambda q: epoch(q)[0][0], params)))
+        checked += 1
+    assert worst < 1e-4
+
+
 def test_evaluate_perfect_and_constant_classifiers(small_splits):
     _, test_ds = small_splits
-    pairs = select_eval_pairs(test_ds, 30, seed=0)
+    pairs = select_eval_pairs(test_ds, 30)
     bg = test_ds.features[:50]
     cfg = MmdConfig(n_permutations=150, seed=0)
 
@@ -161,7 +204,7 @@ def test_evaluate_perfect_and_constant_classifiers(small_splits):
     # logit = relu(60x) - relu(-60x) = 60x: sign tracks the labeling feature
     big = MlpParams(W1=np.array([[60.0, 0.0], [-60.0, 0.0]]), b1=np.zeros(2),
                     w2=np.array([1.0, -1.0]), b2=0.0)
-    p2 = select_eval_pairs(ds, 20, seed=1)
+    p2 = select_eval_pairs(ds, 20)
     rep2 = evaluate(big, ds, p2, cfg, background=ds.features[:40])
     assert rep2.accuracy == 1.0
     assert rep2.eop == 0.0
