@@ -22,6 +22,9 @@ EXHAUSTIVE = "exhaustive"
 # beyond it the solver samples this many coalitions.
 _EXHAUSTIVE_MAX_D = 11
 _DEFAULT_SAMPLE_BUDGET = 2048
+# Model rows per predict call when evaluating coalitions: small enough that
+# the mixed inputs and hidden activations of one block stay in cache.
+_PREDICT_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -93,15 +96,31 @@ def _coalition_values(
     masks: np.ndarray,
 ) -> np.ndarray:
     """v[r, c]: mean model output with row r's features on coalition c and
-    background values elsewhere (marginal expectation over the background)."""
+    background values elsewhere (marginal expectation over the background).
+
+    The (row, coalition) grid of all rows is evaluated in blocks of at most
+    _PREDICT_ROWS model rows (at least one pair per block). Each pair's B
+    background rows stay consecutive and are averaged alone, so every
+    v[r, c] is the mean of the same predictions whatever the block size.
+    A BLAS matrix-vector kernel may round the rows past the last full
+    unroll of a call (4 rows in OpenBLAS's Haswell kernel) differently in
+    the last bit, so blocks of more than 8 pairs hold a multiple of 8. When
+    B is a multiple of the unroll, or C * B is and B <= _PREDICT_ROWS // 8,
+    no call has such rows, as with one call per explained row, and the
+    values equal that evaluation's bit for bit.
+    """
     n, d = X.shape
     c, b = masks.shape[0], background.shape[0]
-    out = np.empty((n, c), dtype=np.float64)
-    # mixed[c, b, d]: coalition features from x, the rest from the background
-    for r in range(n):
-        mixed = np.where(masks[:, None, :], X[r][None, None, :], background[None, :, :])
-        out[r] = predict(mixed.reshape(c * b, d)).reshape(c, b).mean(axis=1)
-    return out
+    out = np.empty(n * c, dtype=np.float64)
+    step = max(1, _PREDICT_ROWS // b)
+    if step > 8:
+        step -= step % 8
+    for start in range(0, n * c, step):
+        rows, cols = np.divmod(np.arange(start, min(start + step, n * c)), c)
+        # mixed[pair, b, d]: coalition features from x, the rest from the background
+        mixed = np.where(masks[cols, None, :], X[rows, None, :], background[None, :, :])
+        out[start:start + len(rows)] = predict(mixed.reshape(-1, d)).reshape(-1, b).mean(axis=1)
+    return out.reshape(n, c)
 
 
 def kernel_shap_batch(
@@ -117,7 +136,9 @@ def kernel_shap_batch(
     coalitions enforced exactly (base value and efficiency constraints).
     budget None picks exhaustive enumeration for d <= 11 and a sampled
     budget of 2048 coalitions otherwise; an integer >= 2^d - 2 also
-    triggers exhaustive enumeration.
+    triggers exhaustive enumeration. Coalition values are evaluated in
+    cache-sized blocks across all rows of X (see _coalition_values); the
+    results do not depend on the block size.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     background = np.atleast_2d(np.asarray(background, dtype=np.float64))

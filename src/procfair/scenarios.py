@@ -44,7 +44,16 @@ _TAG_STEP_BASE = 10
 _METRIC_FIELDS = ("accuracy", "dp", "di", "eop", "eod", "gpf_fae", "gpf_loss")
 _TIMING_FIELDS = ("train_seconds", "eval_seconds")
 
-_STEP_OPS = ("resample_unfair", "pearson_select", "attach_fake_sensitive")
+# (required, optional) keys of each dataset kind and preprocessing step
+_DATASET_KEYS = {
+    "synthetic": (("kind", "p"), ("n",)),
+    "csv": (("kind", "path", "schema"), ()),
+}
+_STEP_KEYS = {
+    "resample_unfair": (("op", "dp_threshold"), ()),
+    "pearson_select": (("op", "threshold"), ()),
+    "attach_fake_sensitive": (("op",), ()),
+}
 
 
 @dataclass(frozen=True)
@@ -73,17 +82,16 @@ class ScenarioConfig:
         if self.master_seed < 0:
             raise ValueError("master_seed must be >= 0")
         kind = self.dataset.get("kind")
-        if kind not in ("synthetic", "csv"):
+        if kind not in _DATASET_KEYS:
             raise ValueError(f"dataset kind must be 'synthetic' or 'csv', got {kind!r}")
-        if kind == "synthetic" and "p" not in self.dataset:
-            raise ValueError("synthetic dataset spec needs 'p'")
-        if kind == "csv" and ("path" not in self.dataset or "schema" not in self.dataset):
-            raise ValueError("csv dataset spec needs 'path' and 'schema'")
+        _check_spec(f"{kind} dataset", self.dataset, *_DATASET_KEYS[kind])
         for step in self.steps:
-            if step.get("op") not in _STEP_OPS:
-                raise ValueError(f"unknown preprocessing step {step.get('op')!r}")
-        _reject_unknown_keys("train", self.train, TrainConfig)
-        _reject_unknown_keys("mmd", self.mmd, MmdConfig)
+            op = step.get("op")
+            if op not in _STEP_KEYS:
+                raise ValueError(f"unknown preprocessing step {op!r}")
+            _check_spec(f"{op} step", step, *_STEP_KEYS[op])
+        _reject_unknown_keys("train", self.train, _field_names(TrainConfig))
+        _reject_unknown_keys("mmd", self.mmd, _field_names(MmdConfig))
         TrainConfig(**self.train)  # validate eagerly
         MmdConfig(**self.mmd)
         object.__setattr__(self, "steps", tuple(dict(s) for s in self.steps))
@@ -105,7 +113,9 @@ class ScenarioConfig:
     @classmethod
     def from_dict(cls, obj: dict) -> "ScenarioConfig":
         """Keys starting with '_' are comments; any other unknown key is an error."""
-        _reject_unknown_keys("top-level", {k for k in obj if not k.startswith("_")}, cls)
+        _reject_unknown_keys(
+            "top-level", {k for k in obj if not k.startswith("_")}, _field_names(cls)
+        )
         return cls(
             scenario_id=obj["scenario_id"],
             dataset=dict(obj["dataset"]),
@@ -128,10 +138,21 @@ class ScenarioConfig:
         return config_hash(self.to_dict())
 
 
-def _reject_unknown_keys(section: str, keys, cls) -> None:
-    unknown = sorted(set(keys) - {f.name for f in fields(cls)})
+def _field_names(cls) -> set[str]:
+    return {f.name for f in fields(cls)}
+
+
+def _reject_unknown_keys(section: str, keys, allowed) -> None:
+    unknown = sorted(set(keys) - set(allowed))
     if unknown:
         raise ValueError(f"unknown {section} config key(s): {', '.join(unknown)}")
+
+
+def _check_spec(section: str, spec: dict, required: tuple, optional: tuple) -> None:
+    missing = [k for k in required if k not in spec]
+    if missing:
+        raise ValueError(f"{section} spec needs {', '.join(map(repr, missing))}")
+    _reject_unknown_keys(section, spec, required + optional)
 
 
 @dataclass

@@ -1,8 +1,9 @@
 """Independent oracles shared across test modules.
 
 Everything here deliberately avoids the library's analytic code paths:
-finite differences for gradients, subset enumeration for rank-sum, and
-direct probability-gradient recomputation for explanation values.
+finite differences for gradients, subset enumeration for rank-sum,
+direct probability-gradient recomputation for explanation values, and a
+one-row-at-a-time coalition evaluation for KernelSHAP.
 """
 
 from __future__ import annotations
@@ -128,3 +129,16 @@ def config_away_from_kinks(rng, d_range=(2, 5), h_range=(2, 6), m_range=(5, 12),
         pre = X @ params.W1.T + params.b1
         if np.abs(pre).min() > min_pre:
             return params, X
+
+
+def per_row_coalition_values(predict, X: np.ndarray, background: np.ndarray,
+                             masks: np.ndarray) -> np.ndarray:
+    """KernelSHAP coalition values v[r, c], one predict call per explained row
+    with all C x B mixed inputs of that row."""
+    n, d = X.shape
+    c, b = masks.shape[0], background.shape[0]
+    out = np.empty((n, c), dtype=np.float64)
+    for r in range(n):
+        mixed = np.where(masks[:, None, :], X[r][None, None, :], background[None, :, :])
+        out[r] = predict(mixed.reshape(c * b, d)).reshape(c, b).mean(axis=1)
+    return out

@@ -8,6 +8,7 @@ lazily and shared through a module-scoped cache.
 import time
 
 import numpy as np
+import pytest
 from scipy import stats as sstats
 
 from oracles import config_away_from_kinks, finite_diff_grads, max_rel_error, random_mlp
@@ -26,6 +27,8 @@ from procfair.scenarios import (
 )
 from procfair.sweeps import SweepSettings, p_sweep, sweep_ws
 from procfair.train import TrainConfig, dp_proxy_grads
+
+pytestmark = pytest.mark.acceptance
 
 
 def _report(num: int, name: str, ok: bool, detail: str = ""):

@@ -115,6 +115,17 @@ def test_scenario_run_unknown_config_key_exit_1(tmp_path, capsys):
         assert key in capsys.readouterr().err
 
 
+def test_scenario_run_unknown_or_missing_spec_key_exit_1(tmp_path, capsys):
+    out_dir = str(tmp_path / "r")
+    for key, over in (("N", {"dataset": {"kind": "synthetic", "p": 0.65, "N": 500}}),
+                      ("treshold", {"steps": [{"op": "pearson_select", "threshold": 0.3,
+                                               "treshold": 0.1}]}),
+                      ("dp_threshold", {"steps": [{"op": "resample_unfair"}]})):
+        cfg = _write_small_scenario(tmp_path, **over)
+        assert main(["scenario", "run", "--config", str(cfg), "--out", out_dir]) == 1
+        assert key in capsys.readouterr().err
+
+
 def test_train_runtime_failure_exit_2(tmp_path):
     cfg = _write_small_scenario(
         tmp_path, dataset={"kind": "csv", "path": "/missing.csv", "schema": "/m.json"}

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
-from oracles import random_mlp
+from oracles import per_row_coalition_values, random_mlp
+from procfair import explain
 from procfair.explain import (
     ExplanationSet,
     exact_shapley,
     grad_explanations,
     kernel_shap,
+    kernel_shap_batch,
     shap_explanations,
 )
-from procfair.model import MlpParams, mlp_init, mlp_logits
+from procfair.model import LinearParams, MlpParams, linear_logits, mlp_init, mlp_logits
 
 
 def _linear_predict(w, b=0.0):
@@ -47,6 +49,70 @@ def test_kernel_shap_linear_closed_form():
     phi, base = kernel_shap(_linear_predict(w, b=0.7), x, mu)
     np.testing.assert_allclose(phi, w * (x - mu[0]), atol=1e-10)
     assert base == pytest.approx(float(mu[0] @ w + 0.7), abs=1e-12)
+
+
+@pytest.mark.parametrize("d", [14, 20])
+@pytest.mark.parametrize("budget", [None, 64])
+def test_kernel_shap_sampled_linear_closed_form(d, budget):
+    # sampled path (d > 11), multi-row background: phi_j = w_j (x_j - mean(bg_j))
+    rng = np.random.default_rng(d)
+    w = rng.normal(size=d)
+    X = rng.normal(size=(3, d))
+    bg = rng.normal(size=(25, d))
+    phi, base = kernel_shap_batch(_linear_predict(w, b=-0.4), X, bg, budget=budget, seed=5)
+    np.testing.assert_allclose(phi, w * (X - bg.mean(axis=0)), rtol=0, atol=1e-9)
+    assert base == pytest.approx(float((bg @ w).mean() - 0.4), abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "model, d, n, b, masks",
+    [
+        ("mlp", 14, 5, 100, "sampled"),  # the sampled scale
+        ("linear", 3, 9, 100, "exhaustive"),
+        ("mlp", 14, 3, 36, "sampled"),  # n * C not a multiple of the block size
+        ("mlp", 4, 3, explain._PREDICT_ROWS + 4, "exhaustive"),  # block is one pair
+        # a row-wise predict has no BLAS remainder rows, so any B matches
+        ("rowwise", 5, 4, 1, "exhaustive"),
+        ("rowwise", 5, 4, 7, "exhaustive"),
+        ("rowwise", 5, 4, 101, "exhaustive"),
+        ("rowwise", 5, 4, explain._PREDICT_ROWS + 1, "exhaustive"),
+    ],
+)
+def test_coalition_values_match_per_row_oracle(model, d, n, b, masks):
+    rng = np.random.default_rng(d * 1000 + b)
+    if model == "linear":
+        params = LinearParams(w=rng.normal(size=d), b=0.3, sensitive_index=0)
+        predict = lambda X: linear_logits(params, X)
+    elif model == "mlp":
+        params = random_mlp(rng, d, 32)
+        predict = lambda X: mlp_logits(params, X)
+    else:
+        w = rng.normal(size=d)
+        predict = lambda X: (np.tanh(X) * w).sum(axis=1)
+    M = (explain._exhaustive_masks(d) if masks == "exhaustive"
+         else explain._sampled_masks(d, explain._DEFAULT_SAMPLE_BUDGET, rng))
+    X = rng.normal(size=(n, d))
+    bg = rng.normal(size=(b, d))
+    np.testing.assert_array_equal(
+        explain._coalition_values(predict, X, bg, M),
+        per_row_coalition_values(predict, X, bg, M),
+    )
+
+
+@pytest.mark.parametrize("d, n, b", [(14, 4, 100), (3, 50, 100), (5, 2, explain._PREDICT_ROWS + 1)])
+def test_kernel_shap_batch_model_rows(d, n, b):
+    rng = np.random.default_rng(7)
+    w = rng.normal(size=d)
+    calls = []
+
+    def counting(Z):
+        calls.append(len(Z))
+        return Z @ w
+
+    kernel_shap_batch(counting, rng.normal(size=(n, d)), rng.normal(size=(b, d)))
+    c = 2**d - 2 if d <= explain._EXHAUSTIVE_MAX_D else explain._DEFAULT_SAMPLE_BUDGET
+    assert sum(calls) == n * c * b + n + b
+    assert max(calls) <= max(explain._PREDICT_ROWS, b)
 
 
 def test_kernel_shap_constant_model():

@@ -60,6 +60,27 @@ def test_scenario_config_rejects_unknown_keys():
     assert small_scenario(_note="free text").repetitions == 2
 
 
+def test_scenario_config_rejects_unknown_and_missing_spec_keys():
+    with pytest.raises(ValueError, match=r"key\(s\): N$"):
+        small_scenario(dataset={"kind": "synthetic", "p": 0.65, "N": 500})
+    with pytest.raises(ValueError, match="treshold"):
+        small_scenario(steps=[{"op": "pearson_select", "threshold": 0.3, "treshold": 0.1}])
+    with pytest.raises(ValueError, match="encoding"):
+        small_scenario(dataset={"kind": "csv", "path": "/m.csv", "schema": "/m.json",
+                                "encoding": "latin-1"})
+    with pytest.raises(ValueError, match="seed"):
+        small_scenario(steps=[{"op": "attach_fake_sensitive", "seed": 3}])
+    # a missing required step key fails at load time, not mid-run
+    with pytest.raises(ValueError, match="dp_threshold"):
+        small_scenario(steps=[{"op": "resample_unfair", "threshold": 0.1}])
+    with pytest.raises(ValueError, match="'threshold'"):
+        small_scenario(steps=[{"op": "pearson_select"}])
+    with pytest.raises(ValueError, match="'schema'"):
+        small_scenario(dataset={"kind": "csv", "path": "/m.csv"})
+    for name in list_presets():
+        ScenarioConfig.from_dict(load_preset(name))
+
+
 def test_scenario_config_json_round_trip(tmp_path):
     cfg = small_scenario()
     path = tmp_path / "cfg.json"
