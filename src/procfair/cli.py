@@ -31,7 +31,7 @@ from .scenarios import (
 )
 from .sweeps import SweepSettings, p_sweep, sweep_p_ws, sweep_ws, write_sweep_csv
 from .train import TrainConfig, evaluate
-from .util import config_hash
+from .util import atomic_write_json, config_hash
 
 
 import re
@@ -81,7 +81,6 @@ def _cmd_generate(args) -> int:
     data = generate_synthetic(cfg)
     h = config_hash({"p": args.p, "n": args.n, "seed": args.seed})
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     write_csv(data, out, config_hash=h)
     schema_path = out.with_suffix(out.suffix + ".schema.json")
     export_schema(data).to_json(schema_path)
@@ -101,12 +100,10 @@ def _cmd_train(args) -> int:
     cfg = _load_scenario(args)
     result = run_repetition(cfg, args.rep)
     out = _out_dir(args)
-    out.mkdir(parents=True, exist_ok=True)
     save_params(result.params, out / "model.json")
     result.history.to_csv(out / "history.csv", config_hash=cfg.hash())
     report = result.report
-    with open(out / "report.json", "w") as fh:
-        json.dump({"config_hash": cfg.hash(), **report.to_dict()}, fh, indent=2)
+    report.to_json(out / "report.json", cfg.hash())
     print(f"trained {cfg.scenario_id} (rep {args.rep}): "
           f"acc={report.accuracy:.3f} gpf_fae={report.gpf_fae:.3f} dp={report.dp:.3f}")
     print(f"model written to {out / 'model.json'}")
@@ -119,10 +116,7 @@ def _cmd_evaluate(args) -> int:
     # Rebuild the rep's data pipeline so the model sees the same test split.
     _, test_ds, pairs, background, mmd_cfg = prepare_repetition(cfg, args.rep)
     report = evaluate(params, test_ds, pairs, mmd_cfg, background=background)
-    out = _out_dir(args)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "report.json", "w") as fh:
-        json.dump({"config_hash": cfg.hash(), **report.to_dict()}, fh, indent=2)
+    report.to_json(_out_dir(args) / "report.json", cfg.hash())
     print(f"evaluated {args.model}: acc={report.accuracy:.3f} "
           f"gpf_fae={report.gpf_fae:.3f} dp={report.dp:.3f}")
     return 0
@@ -161,9 +155,7 @@ def _cmd_scenario_compare(args) -> int:
                 f"p={row['p_value']:.5f} ({mark} at {args.alpha})"
             )
     if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        with open(args.out, "w") as fh:
-            json.dump(rows, fh, indent=2)
+        atomic_write_json(args.out, rows, indent=2)
         print(f"comparison written to {args.out}")
     return 0
 
@@ -184,18 +176,7 @@ def _cmd_sweep_ws(args) -> int:
     settings = _sweep_settings(args)
     data = generate_synthetic(SyntheticConfig(p=args.p, n_points=args.n, seed=args.seed))
     data = pearson_select(data, settings.pearson_threshold)
-    sl = sweep_ws(data, (lo, hi), count, args.seed, settings, p=args.p)
-    rows = [
-        {
-            "p": args.p,
-            "ws": float(sl.ws_values[j]),
-            "ws_normalized": float(sl.ws_normalized[j]),
-            "dp": r.dp,
-            "gpf_fae": r.gpf_fae,
-            "acc": r.accuracy,
-        }
-        for j, r in enumerate(sl.reports)
-    ]
+    rows = sweep_ws(data, (lo, hi), count, args.seed, settings, p=args.p).long_rows()
     h = config_hash({"cmd": "sweep_ws", "p": args.p, "ws": args.ws, "n": args.n, "seed": args.seed})
     write_sweep_csv(rows, args.out, config_hash=h)
     print(f"wrote {len(rows)} sweep rows to {args.out}")

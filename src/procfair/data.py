@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .util import atomic_write_csv, atomic_write_json
+
 ROLE_FEATURE = "feature"
 ROLE_LABEL = "label"
 ROLE_SENSITIVE = "sensitive"
@@ -56,8 +58,7 @@ class ColumnSchema:
         return cls(roles=dict(obj["roles"]), advantaged=str(obj["advantaged"]))
 
     def to_json(self, path: str | Path) -> None:
-        with open(path, "w") as fh:
-            json.dump({"roles": self.roles, "advantaged": self.advantaged}, fh, indent=2)
+        atomic_write_json(path, {"roles": self.roles, "advantaged": self.advantaged}, indent=2)
 
 
 @dataclass
@@ -177,9 +178,6 @@ def load_csv(path: str | Path, schema: ColumnSchema) -> RawTable:
             rows.append(rec)
     if header is None:
         raise ValueError(f"{path}: empty file, no header row")
-    for col in (schema.label_col, schema.sensitive_col):
-        if col not in header:
-            raise ValueError(f"schema column {col!r} missing from header {header}")
     for col in schema.roles:
         if col not in header:
             raise ValueError(f"schema column {col!r} missing from header {header}")
@@ -422,17 +420,13 @@ def write_csv(data: Dataset, path: str | Path, config_hash: str | None = None) -
 
     Floats are written with repr so a reload reproduces them exactly.
     """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        if config_hash:
-            fh.write(f"# config_hash={config_hash}\n")
-        writer = csv.writer(fh)
-        writer.writerow(list(data.feature_names) + ["label", "group"])
-        g_names = data.group_names
-        for i in range(data.n_rows):
-            row = [repr(float(v)) for v in data.features[i]]
-            row.append(str(int(data.labels[i])))
-            row.append(g_names[0] if data.group[i] == 1 else g_names[1])
-            writer.writerow(row)
+    g_names = data.group_names
+    rows = (
+        [repr(float(v)) for v in data.features[i]]
+        + [str(int(data.labels[i])), g_names[0] if data.group[i] == 1 else g_names[1]]
+        for i in range(data.n_rows)
+    )
+    atomic_write_csv(path, list(data.feature_names) + ["label", "group"], rows, config_hash)
 
 
 def export_schema(data: Dataset) -> ColumnSchema:

@@ -7,7 +7,6 @@ evaluation-time attributions share one scale.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,6 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .model import as_model
+from .util import atomic_write_csv
 
 EXHAUSTIVE = "exhaustive"
 # Exhaustive coalition enumeration stays cheap up to this many features;
@@ -250,14 +250,11 @@ def write_explanations_csv(
     config_hash: str | None = None,
 ) -> None:
     """CSV export: (row_ref, group, per-feature attributions, base, method)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        if config_hash:
-            fh.write(f"# config_hash={config_hash}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["row_ref", "group"] + list(feature_names) + ["base_value", "method"])
-        for r in range(es.attributions.shape[0]):
-            writer.writerow(
-                [int(es.row_refs[r]), int(group[r])]
-                + [repr(float(v)) for v in es.attributions[r]]
-                + [repr(float(es.base_value)), es.method]
-            )
+    rows = (
+        [int(es.row_refs[r]), int(group[r])]
+        + [repr(float(v)) for v in es.attributions[r]]
+        + [repr(float(es.base_value)), es.method]
+        for r in range(es.attributions.shape[0])
+    )
+    header = ["row_ref", "group"] + list(feature_names) + ["base_value", "method"]
+    atomic_write_csv(path, header, rows, config_hash)

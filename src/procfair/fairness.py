@@ -8,7 +8,6 @@ cross-group explanation pairs (1.0 = fair decision process).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,6 +16,7 @@ from scipy.spatial.distance import pdist, squareform
 
 from .explain import ExplanationSet, kernel_shap_batch
 from .model import as_model
+from .util import atomic_write_json
 
 # Statistics at or below this are treated as exactly zero so that identical
 # explanation sets yield p = 1.0 despite float summation noise.
@@ -91,9 +91,10 @@ class FairnessReport:
             eod_reason=obj.get("eod_reason"),
         )
 
-    def to_json(self, path: str | Path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
+    def to_json(self, path: str | Path, config_hash: str | None = None) -> None:
+        """The report as JSON, led by a `config_hash` key when one is given."""
+        head = {"config_hash": config_hash} if config_hash else {}
+        atomic_write_json(path, {**head, **self.to_dict()}, indent=2)
 
 
 def _rates(values: np.ndarray, group: np.ndarray) -> tuple[float, float]:

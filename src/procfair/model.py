@@ -24,6 +24,7 @@ from scipy.special import expit
 
 from .data import Dataset
 from .pairing import PairSet
+from .util import atomic_write_json
 
 _LOG_CLAMP = 1e-12
 MODEL_FORMAT_VERSION = "1"
@@ -417,8 +418,7 @@ def save_params(params, path: str | Path) -> None:
         }
     else:
         raise TypeError(f"unsupported parameter type: {type(params)!r}")
-    with open(path, "w") as fh:
-        json.dump(obj, fh)
+    atomic_write_json(path, obj)
 
 
 def load_params(path: str | Path):

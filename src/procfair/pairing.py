@@ -7,7 +7,6 @@ matches).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -15,6 +14,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .data import Dataset
+from .util import atomic_write_csv
 
 _CHUNK = 1024
 
@@ -48,13 +48,9 @@ class PairSet:
         return self.idx1.shape[0]
 
     def to_csv(self, path: str | Path, config_hash: str | None = None) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            if config_hash:
-                fh.write(f"# config_hash={config_hash}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["index1", "index2", "distance"])
-            for i, j, d in zip(self.idx1, self.idx2, self.distances):
-                writer.writerow([int(i), int(j), repr(float(d))])
+        rows = ([int(i), int(j), repr(float(d))]
+                for i, j, d in zip(self.idx1, self.idx2, self.distances))
+        atomic_write_csv(path, ["index1", "index2", "distance"], rows, config_hash)
 
 
 def pair_columns(data: Dataset) -> np.ndarray:

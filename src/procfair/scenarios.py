@@ -4,9 +4,8 @@ attribution dumps."""
 
 from __future__ import annotations
 
-import csv
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from datetime import datetime, timezone
 from importlib import resources
 from pathlib import Path
@@ -31,7 +30,7 @@ from .model import as_model
 from .explain import kernel_shap_batch
 from .pairing import PairSet, select_eval_pairs
 from .train import TrainConfig, evaluate, train
-from .util import VERSION, atomic_write_text, config_hash, seed_for
+from .util import VERSION, atomic_write_csv, atomic_write_text, config_hash, seed_for
 
 # Stage tags for per-repetition seed derivation.
 _TAG_DATA = 0
@@ -77,6 +76,8 @@ class ScenarioConfig:
     master_seed: int = 0
 
     def __post_init__(self):
+        for name in ("dataset", "train", "mmd"):
+            object.__setattr__(self, name, dict(getattr(self, name)))
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         if self.master_seed < 0:
@@ -113,21 +114,13 @@ class ScenarioConfig:
     @classmethod
     def from_dict(cls, obj: dict) -> "ScenarioConfig":
         """Keys starting with '_' are comments; any other unknown key is an error."""
-        _reject_unknown_keys(
-            "top-level", {k for k in obj if not k.startswith("_")}, _field_names(cls)
-        )
-        return cls(
-            scenario_id=obj["scenario_id"],
-            dataset=dict(obj["dataset"]),
-            train=dict(obj["train"]),
-            steps=tuple(obj.get("steps", ())),
-            split_ratio=obj.get("split_ratio", 0.8),
-            n_eval_pairs=obj.get("n_eval_pairs", 100),
-            background_size=obj.get("background_size", 100),
-            mmd=dict(obj.get("mmd", {})),
-            repetitions=obj.get("repetitions", 10),
-            master_seed=obj.get("master_seed", 0),
-        )
+        keys = {k: v for k, v in obj.items() if not k.startswith("_")}
+        _reject_unknown_keys("top-level", keys, _field_names(cls))
+        missing = [f.name for f in fields(cls) if f.default is MISSING
+                   and f.default_factory is MISSING and f.name not in keys]
+        if missing:
+            raise ValueError(f"missing top-level config key(s): {', '.join(missing)}")
+        return cls(**keys)
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ScenarioConfig":
@@ -452,17 +445,9 @@ def emit_sensitive_attributions(
         "mean_abs_sensitive": float(np.abs(shap_s).mean()),
         "mean_abs_all_features": float(np.abs(phi).mean()),
     }
-    out = Path(out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", newline="", encoding="utf-8") as fh:
-        if cfg_hash:
-            fh.write(f"# config_hash={cfg_hash}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["row_ref", "group", "shap_sensitive"])
-        for r in range(rows.shape[0]):
-            writer.writerow([int(refs[r]), int(group[r]), repr(float(shap_s[r]))])
-        writer.writerow(["mean_s1", 1, repr(mean_s1)])
-        writer.writerow(["mean_s2", 0, repr(mean_s2)])
+    lines = [[int(i), int(g), repr(float(v))] for i, g, v in zip(refs, group, shap_s)]
+    lines += [["mean_s1", 1, repr(mean_s1)], ["mean_s2", 0, repr(mean_s2)]]
+    atomic_write_csv(out, ["row_ref", "group", "shap_sensitive"], lines, cfg_hash)
     return summary
 
 

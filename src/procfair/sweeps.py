@@ -8,7 +8,6 @@ responds to growing dataset bias.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -20,7 +19,7 @@ from .model import linear_train, override_sensitive_weight
 from .pairing import select_eval_pairs
 from .scenarios import sample_background
 from .train import TrainConfig, evaluate, train
-from .util import seed_for
+from .util import atomic_write_csv, seed_for
 
 # Stage tags for per-sweep seed derivation. Tag 3 is unused; renumbering the
 # later tags would move every sweep's seeds.
@@ -53,6 +52,19 @@ class SweepSlice:
     norm_record: dict
     reports: list[FairnessReport]
 
+    def long_rows(self) -> list[dict]:
+        return [
+            {
+                "p": self.p,
+                "ws": float(ws),
+                "ws_normalized": float(ws_norm),
+                "dp": r.dp,
+                "gpf_fae": r.gpf_fae,
+                "acc": r.accuracy,
+            }
+            for ws, ws_norm, r in zip(self.ws_values, self.ws_normalized, self.reports)
+        ]
+
 
 @dataclass
 class SweepGrid:
@@ -82,33 +94,14 @@ class SweepGrid:
         write_sweep_csv(self.long_rows(), path, config_hash)
 
     def long_rows(self) -> list[dict]:
-        rows = []
-        for i, p in enumerate(self.p_values):
-            for j, ws in enumerate(self.ws_values):
-                r = self.reports[i][j]
-                rows.append(
-                    {
-                        "p": float(p),
-                        "ws": float(ws),
-                        "ws_normalized": float(self.ws_normalized[j]),
-                        "dp": r.dp,
-                        "gpf_fae": r.gpf_fae,
-                        "acc": r.accuracy,
-                    }
-                )
-        return rows
+        return [row for p in self.p_values for row in self.plane_at_p(p).long_rows()]
 
 
 def write_sweep_csv(rows: list[dict], path: str | Path, config_hash: str | None = None) -> None:
     if not rows:
         raise ValueError("no sweep rows to write")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        if config_hash:
-            fh.write(f"# config_hash={config_hash}\n")
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+    header = list(rows[0])
+    atomic_write_csv(path, header, ([row[k] for k in header] for row in rows), config_hash)
 
 
 def _normalize_ws(ws_values: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray, dict]:

@@ -9,7 +9,6 @@ surrogate (dp_regularized).
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -40,6 +39,7 @@ from .model import (
     mlp_init,
 )
 from .pairing import PairSet, build_pairs
+from .util import atomic_write_csv
 
 MODES = ("bce_only", "procedural", "dp_regularized")
 
@@ -77,16 +77,9 @@ class TrainHistory:
     params: MlpParams
 
     def to_csv(self, path: str | Path, config_hash: str | None = None) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            if config_hash:
-                fh.write(f"# config_hash={config_hash}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["epoch", "total", "bce", "gpf", "dp_proxy"])
-            for i in range(len(self.total)):
-                writer.writerow(
-                    [i + 1]
-                    + [repr(float(v)) for v in (self.total[i], self.bce[i], self.gpf[i], self.dp_proxy[i])]
-                )
+        rows = ([epoch] + [repr(float(v)) for v in values] for epoch, values
+                in enumerate(zip(self.total, self.bce, self.gpf, self.dp_proxy), start=1))
+        atomic_write_csv(path, ["epoch", "total", "bce", "gpf", "dp_proxy"], rows, config_hash)
 
 
 def dp_proxy_grads(params: MlpParams, X: np.ndarray, group: np.ndarray):

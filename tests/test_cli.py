@@ -113,6 +113,11 @@ def test_scenario_run_unknown_config_key_exit_1(tmp_path, capsys):
         cfg = _write_small_scenario(tmp_path, **over)
         assert main(["scenario", "run", "--config", str(cfg), "--out", out_dir]) == 1
         assert key in capsys.readouterr().err
+    cfg = _write_small_scenario(tmp_path)
+    cfg.write_text(json.dumps({k: v for k, v in json.loads(cfg.read_text()).items()
+                               if k != "scenario_id"}))
+    assert main(["scenario", "run", "--config", str(cfg), "--out", out_dir]) == 1
+    assert "missing top-level config key(s): scenario_id" in capsys.readouterr().err
 
 
 def test_scenario_run_unknown_or_missing_spec_key_exit_1(tmp_path, capsys):

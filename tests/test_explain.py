@@ -185,6 +185,24 @@ def test_kernel_shap_sampled_budget_consistency():
     assert devs[256] < devs[64]
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_kernel_shap_sampled_matches_exact_shapley_at_d12(seed):
+    # d = 12 is the largest d exact_shapley enumerates and is already on the
+    # sampled path under the default budget of 2048 coalitions
+    d = 12
+    assert d > explain._EXHAUSTIVE_MAX_D
+    rng = np.random.default_rng(seed)
+    params = random_mlp(rng, d, 16)
+    predict = lambda X: mlp_logits(params, X)
+    bg = rng.normal(size=(20, d))
+    X = rng.normal(size=(5, d))
+    exact = np.array([exact_shapley(predict, x, bg)[0] for x in X])
+    phi, _ = kernel_shap_batch(predict, X, bg, seed=seed)
+    assert np.abs(phi - exact).max() <= 0.10 * np.abs(exact).max()
+    phi_all, _ = kernel_shap_batch(predict, X, bg, budget="exhaustive")
+    np.testing.assert_allclose(phi_all, exact, rtol=0, atol=1e-12)
+
+
 def test_kernel_shap_deterministic_per_seed():
     rng = np.random.default_rng(2)
     d = 13  # forces the sampled path under the default budget

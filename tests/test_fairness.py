@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from procfair.fairness import (
     FairnessReport,
@@ -190,3 +193,20 @@ def test_fairness_report_round_trip(tmp_path):
     assert obj["di"] is None and obj["di_reason"].startswith("no positive")
     back = FairnessReport.from_dict(obj)
     assert back.accuracy == rep.accuracy and back.di is None
+
+
+@st.composite
+def _explanation_pair(draw):
+    d = draw(st.integers(1, 4))
+    cells = st.floats(-100, 100, allow_nan=False, allow_subnormal=False)
+    return tuple(draw(arrays(np.float64, (draw(st.integers(1, 15)), d), elements=cells))
+                 for _ in range(2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_explanation_pair())
+def test_mmd_property_symmetric_and_zero_on_itself(pair):
+    a, b = pair
+    assert mmd(a, b) == pytest.approx(mmd(b, a), rel=1e-9, abs=1e-9)
+    assert mmd(a, a) == 0.0
+    assert mmd(a, b) >= 0.0

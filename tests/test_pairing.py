@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from procfair.data import Dataset
 from procfair.pairing import PairSet, build_pairs, select_eval_pairs
@@ -123,3 +126,47 @@ def test_pairset_csv_export(tmp_path, toy_pair_dataset):
 def test_pairset_validation():
     with pytest.raises(ValueError, match="align"):
         PairSet(idx1=np.array([0, 1]), idx2=np.array([2]), distances=np.array([0.0]))
+
+
+@st.composite
+def _two_group_datasets(draw, tie_free=False):
+    """Both groups non-empty; features drawn by hypothesis (ties likely) or,
+    with tie_free, from a seeded normal (ties have probability zero)."""
+    n1, n2 = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    d = draw(st.integers(1, 3))
+    if tie_free:
+        feats = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=(n1 + n2, d))
+    else:
+        feats = draw(arrays(np.float64, (n1 + n2, d),
+                            elements=st.floats(-10, 10, allow_nan=False, allow_subnormal=False)))
+    sensitive = None if d == 1 else draw(st.one_of(st.none(), st.integers(0, d - 1)))
+    return Dataset(
+        features=feats,
+        labels=np.zeros(n1 + n2, dtype=int),
+        group=np.array(draw(st.permutations([1] * n1 + [0] * n2))),
+        feature_names=tuple(f"f{j}" for j in range(d)),
+        sensitive_col=sensitive,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_two_group_datasets())
+def test_build_pairs_property_count_bounds_and_cross_group(ds):
+    ps = build_pairs(ds)
+    n1, n2 = int((ds.group == 1).sum()), int((ds.group == 0).sum())
+    assert max(n1, n2) <= len(ps) <= n1 + n2
+    assert (ds.group[ps.idx1] == 1).all() and (ds.group[ps.idx2] == 0).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_build_pairs_property_row_permutation_invariant(data):
+    ds = data.draw(_two_group_datasets(tie_free=True))
+    perm = np.array(data.draw(st.permutations(range(ds.n_rows))))
+    ps = build_pairs(ds)
+    pp = build_pairs(ds.subset(perm))  # permuted row r is original row perm[r]
+    original = dict(zip(zip(ps.idx1.tolist(), ps.idx2.tolist()), ps.distances))
+    mapped = dict(zip(zip(perm[pp.idx1].tolist(), perm[pp.idx2].tolist()), pp.distances))
+    assert mapped.keys() == original.keys()
+    for key, dist in original.items():
+        assert mapped[key] == pytest.approx(dist, rel=1e-12, abs=1e-12)

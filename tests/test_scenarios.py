@@ -56,6 +56,11 @@ def test_scenario_config_rejects_unknown_keys():
         small_scenario(mmd={"permutations": 200})
     with pytest.raises(ValueError, match="repetition"):
         small_scenario(repetition=2)
+    for key in ("scenario_id", "dataset", "train"):
+        obj = small_scenario().to_dict()
+        del obj[key]
+        with pytest.raises(ValueError, match=f"missing top-level config key.*{key}"):
+            ScenarioConfig.from_dict(obj)
     # keys starting with an underscore are comments
     assert small_scenario(_note="free text").repetitions == 2
 
