@@ -37,7 +37,7 @@ from .model import (
     mlp_init,
     override_sensitive_weight,
 )
-from .explain import ExplanationSet, exact_shapley, grad_explanations, kernel_shap
+from .explain import exact_shapley, kernel_shap
 from .fairness import (
     FairnessReport,
     MmdConfig,

@@ -169,6 +169,12 @@ def _sweep_settings(args) -> SweepSettings:
     )
 
 
+def _sweep_hash(args, cmd: str, **flags) -> str:
+    """config_hash of every flag a sweep command reads."""
+    return config_hash({"cmd": cmd, "n": args.n, "seed": args.seed, "epochs": args.epochs,
+                        "perms": args.perms, **flags})
+
+
 def _cmd_sweep_ws(args) -> int:
     from .data import pearson_select
 
@@ -177,7 +183,7 @@ def _cmd_sweep_ws(args) -> int:
     data = generate_synthetic(SyntheticConfig(p=args.p, n_points=args.n, seed=args.seed))
     data = pearson_select(data, settings.pearson_threshold)
     rows = sweep_ws(data, (lo, hi), count, args.seed, settings, p=args.p).long_rows()
-    h = config_hash({"cmd": "sweep_ws", "p": args.p, "ws": args.ws, "n": args.n, "seed": args.seed})
+    h = _sweep_hash(args, "sweep_ws", p=args.p, ws=args.ws, pearson=args.pearson)
     write_sweep_csv(rows, args.out, config_hash=h)
     print(f"wrote {len(rows)} sweep rows to {args.out}")
     return 0
@@ -188,8 +194,7 @@ def _cmd_sweep_p(args) -> int:
     settings = _sweep_settings(args)
     cfg = TrainConfig(mode="procedural", alpha=args.alpha)
     rows = p_sweep((lo, hi), count, cfg, seed=args.seed, settings=settings)
-    h = config_hash({"cmd": "sweep_p", "p": args.p, "alpha": args.alpha,
-                     "n": args.n, "seed": args.seed})
+    h = _sweep_hash(args, "sweep_p", p=args.p, alpha=args.alpha)
     write_sweep_csv(rows, args.out, config_hash=h)
     print(f"wrote {len(rows)} sweep rows to {args.out}")
     return 0
@@ -200,8 +205,7 @@ def _cmd_sweep_grid(args) -> int:
     ws_lo, ws_hi, ws_count = _parse_range(args.ws)
     settings = _sweep_settings(args)
     grid = sweep_p_ws((p_lo, p_hi), (ws_lo, ws_hi), (p_count, ws_count), args.seed, settings)
-    h = config_hash({"cmd": "sweep_grid", "p": args.p, "ws": args.ws,
-                     "n": args.n, "seed": args.seed})
+    h = _sweep_hash(args, "sweep_grid", p=args.p, ws=args.ws, pearson=args.pearson)
     grid.to_csv(args.out, config_hash=h)
     print(f"wrote {p_count * ws_count} grid rows to {args.out}")
     return 0

@@ -1,21 +1,15 @@
-"""Post-hoc feature attributions: batch input-gradient explanations, a
-KernelSHAP solver, and a brute-force exact Shapley oracle for testing.
+"""Post-hoc feature attributions of a predict callable: a KernelSHAP
+solver and a brute-force exact Shapley oracle for testing.
 
-All explanations are computed on the pre-sigmoid logit so training-time and
-evaluation-time attributions share one scale.
+The pipeline explains the pre-sigmoid logit (pass `params.logits`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
-
-from .model import as_model
-from .util import atomic_write_csv
 
 EXHAUSTIVE = "exhaustive"
 # Exhaustive coalition enumeration stays cheap up to this many features;
@@ -25,40 +19,6 @@ _DEFAULT_SAMPLE_BUDGET = 2048
 # Model rows per predict call when evaluating coalitions: small enough that
 # the mixed inputs and hidden activations of one block stay in cache.
 _PREDICT_ROWS = 8192
-
-
-@dataclass(frozen=True)
-class ExplanationSet:
-    """n x d attribution matrix with its method tag and source row indices."""
-
-    attributions: np.ndarray
-    method: str
-    row_refs: np.ndarray
-    base_value: float = 0.0
-
-    def __post_init__(self):
-        att = np.asarray(self.attributions, dtype=np.float64)
-        refs = np.asarray(self.row_refs, dtype=np.int64)
-        if att.ndim != 2 or refs.shape != (att.shape[0],):
-            raise ValueError("attributions must be (n, d) with matching row_refs")
-        if not np.isfinite(att).all():
-            raise ValueError("attributions must be finite")
-        att.setflags(write=False)
-        refs.setflags(write=False)
-        object.__setattr__(self, "attributions", att)
-        object.__setattr__(self, "row_refs", refs)
-
-
-def grad_explanations(params, rows: np.ndarray, row_refs: np.ndarray | None = None) -> ExplanationSet:
-    """Input gradients of the logit, one row per explained point."""
-    rows = np.asarray(rows, dtype=np.float64)
-    refs = np.arange(rows.shape[0]) if row_refs is None else row_refs
-    return ExplanationSet(
-        attributions=as_model(params).input_grads(rows),
-        method="grad",
-        row_refs=refs,
-        base_value=0.0,
-    )
 
 
 def _exhaustive_masks(d: int) -> np.ndarray:
@@ -225,36 +185,3 @@ def exact_shapley(
             (weights_by_size[sizes[without]] * (v[s_codes | bit] - v[s_codes])).sum()
         )
     return phi, float(v[0])
-
-
-def shap_explanations(
-    params,
-    rows: np.ndarray,
-    background: np.ndarray,
-    row_refs: np.ndarray | None = None,
-    budget: int | str | None = None,
-    seed: int = 0,
-) -> ExplanationSet:
-    """KernelSHAP attributions for model parameters, explained at the logit."""
-    rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-    phi, base = kernel_shap_batch(as_model(params).logits, rows, background, budget, seed)
-    refs = np.arange(rows.shape[0]) if row_refs is None else row_refs
-    return ExplanationSet(attributions=phi, method="kernel_shap", row_refs=refs, base_value=base)
-
-
-def write_explanations_csv(
-    es: ExplanationSet,
-    group: np.ndarray,
-    feature_names: tuple[str, ...],
-    path: str | Path,
-    config_hash: str | None = None,
-) -> None:
-    """CSV export: (row_ref, group, per-feature attributions, base, method)."""
-    rows = (
-        [int(es.row_refs[r]), int(group[r])]
-        + [repr(float(v)) for v in es.attributions[r]]
-        + [repr(float(es.base_value)), es.method]
-        for r in range(es.attributions.shape[0])
-    )
-    header = ["row_ref", "group"] + list(feature_names) + ["base_value", "method"]
-    atomic_write_csv(path, header, rows, config_hash)

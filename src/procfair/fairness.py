@@ -14,8 +14,7 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
-from .explain import ExplanationSet, kernel_shap_batch
-from .model import as_model
+from .explain import kernel_shap_batch
 from .util import atomic_write_json
 
 # Statistics at or below this are treated as exactly zero so that identical
@@ -154,8 +153,6 @@ def equalized_odds(preds, labels, group) -> float | None:
 
 
 def _attr_matrix(e) -> np.ndarray:
-    if isinstance(e, ExplanationSet):
-        return e.attributions
     return np.atleast_2d(np.asarray(e, dtype=np.float64))
 
 
@@ -272,7 +269,7 @@ def gpf_fae(
     feats = np.asarray(features, dtype=np.float64)
     if background is None:
         background = feats
-    predict = as_model(params).logits
+    predict = params.logits
     phi1, _ = kernel_shap_batch(predict, feats[eval_pairs.idx1], background, budget, cfg.seed)
     phi2, _ = kernel_shap_batch(predict, feats[eval_pairs.idx2], background, budget, cfg.seed)
     p, _ = mmd_permutation_pvalue(phi1, phi2, cfg)

@@ -2,8 +2,10 @@
 
 One fixed architecture: a 2-layer ReLU MLP with a single sigmoid logit,
 plus a logistic linear model whose sensitive-attribute weight can be
-overridden. Includes the second-order path through input gradients needed
-by the attribution-gap loss, and a minimal Adam.
+overridden. Each parameter class answers the two questions the pipeline
+asks of a model: logits(X) and prob_grads(X). Includes the second-order
+path through input gradients needed by the attribution-gap loss, and a
+minimal Adam.
 
 The MLP losses form one engine: a single forward cache (_forward), one
 function per loss term (BCE, attribution gap, DP surrogate) returning its
@@ -67,6 +69,21 @@ class MlpParams:
     def from_tree(self, t: dict) -> "MlpParams":
         return MlpParams(W1=t["W1"], b1=t["b1"], w2=t["w2"], b2=float(t["b2"]))
 
+    def logits(self, X: np.ndarray) -> np.ndarray:
+        """Pre-sigmoid logit of every row of X."""
+        return np.maximum(X @ self.W1.T + self.b1, 0.0) @ self.w2 + self.b2
+
+    def prob_grads(self, X: np.ndarray) -> np.ndarray:
+        """Gradient of the predicted probability w.r.t. the input.
+
+        This is the training-time explanation: the sigmoid slope makes a
+        model's reliance on any single feature visible as a within-pair
+        explanation gap, which the plain logit gradient misses whenever that
+        reliance is locally linear.
+        """
+        c = _forward(self, X)
+        return (c.p * (1.0 - c.p))[:, None] * _logit_input_grads(self, c.mask)
+
 
 @dataclass(frozen=True)
 class LinearParams:
@@ -92,6 +109,14 @@ class LinearParams:
 
     def from_tree(self, t: dict) -> "LinearParams":
         return LinearParams(w=t["w"], b=float(t["b"]), sensitive_index=self.sensitive_index)
+
+    def logits(self, X: np.ndarray) -> np.ndarray:
+        return X @ self.w + self.b
+
+    def prob_grads(self, X: np.ndarray) -> np.ndarray:
+        """Gradient of the predicted probability w.r.t. the input."""
+        p = expit(self.logits(X))
+        return (p * (1.0 - p))[:, None] * self.w
 
 
 @dataclass
@@ -121,14 +146,12 @@ def mlp_init(d: int, h: int, seed: int) -> MlpParams:
     )
 
 
-def mlp_logits(params: MlpParams, X: np.ndarray) -> np.ndarray:
-    pre = X @ params.W1.T + params.b1
-    return np.maximum(pre, 0.0) @ params.w2 + params.b2
+mlp_logits = MlpParams.logits  # function form, as perfbench's probes call it
 
 
 def mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[float, float]:
     """Single-sample forward: (logit, sigmoid probability)."""
-    z = float(mlp_logits(params, np.asarray(x, dtype=np.float64)[None, :])[0])
+    z = float(params.logits(np.asarray(x, dtype=np.float64)[None, :])[0])
     return z, float(expit(z))
 
 
@@ -162,18 +185,6 @@ def _forward(params: MlpParams, X: np.ndarray) -> _Forward:
     pre = X @ params.W1.T + params.b1
     act = np.maximum(pre, 0.0)
     return _Forward(X, pre > 0.0, act, expit(act @ params.w2 + params.b2))
-
-
-def prob_input_gradients(params: MlpParams, X: np.ndarray) -> np.ndarray:
-    """Gradient of the predicted probability w.r.t. the input.
-
-    This is the training-time explanation: the sigmoid slope makes a
-    model's reliance on any single feature visible as a within-pair
-    explanation gap, which the plain logit gradient misses whenever that
-    reliance is locally linear.
-    """
-    c = _forward(params, X)
-    return (c.p * (1.0 - c.p))[:, None] * _logit_input_grads(params, c.mask)
 
 
 def _bce_term(p: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
@@ -309,10 +320,6 @@ def adam_step(state: AdamState, params, grads: dict, lr: float):
     )
 
 
-def linear_logits(params: LinearParams, X: np.ndarray) -> np.ndarray:
-    return X @ params.w + params.b
-
-
 def linear_init(d: int, sensitive_index: int, seed: int) -> LinearParams:
     rng = np.random.default_rng(seed)
     lim = 1.0 / np.sqrt(d)
@@ -322,7 +329,7 @@ def linear_init(d: int, sensitive_index: int, seed: int) -> LinearParams:
 def linear_bce_grads(
     params: LinearParams, X: np.ndarray, y: np.ndarray
 ) -> tuple[float, dict[str, np.ndarray | float]]:
-    loss, dz = _bce_term(expit(linear_logits(params, X)), y)
+    loss, dz = _bce_term(expit(params.logits(X)), y)
     return loss, {"w": X.T @ dz, "b": float(dz.sum())}
 
 
@@ -346,52 +353,6 @@ def override_sensitive_weight(params: LinearParams, w_s: float) -> LinearParams:
     w = params.w.copy()
     w[params.sensitive_index] = w_s
     return replace(params, w=w)
-
-
-class MlpModel:
-    """Callable view over MlpParams used by evaluation and explanations."""
-
-    def __init__(self, params: MlpParams):
-        self.params = params
-
-    def logits(self, X: np.ndarray) -> np.ndarray:
-        return mlp_logits(self.params, X)
-
-    def probs(self, X: np.ndarray) -> np.ndarray:
-        return expit(self.logits(X))
-
-    def input_grads(self, X: np.ndarray) -> np.ndarray:
-        return input_gradients(self.params, X)
-
-    def prob_grads(self, X: np.ndarray) -> np.ndarray:
-        return prob_input_gradients(self.params, X)
-
-
-class LinearModel:
-    def __init__(self, params: LinearParams):
-        self.params = params
-
-    def logits(self, X: np.ndarray) -> np.ndarray:
-        return linear_logits(self.params, X)
-
-    def probs(self, X: np.ndarray) -> np.ndarray:
-        return expit(self.logits(X))
-
-    def input_grads(self, X: np.ndarray) -> np.ndarray:
-        # The logit is linear, so the input gradient is w for every point.
-        return np.tile(self.params.w, (X.shape[0], 1))
-
-    def prob_grads(self, X: np.ndarray) -> np.ndarray:
-        p = self.probs(X)
-        return (p * (1.0 - p))[:, None] * self.params.w
-
-
-def as_model(params) -> MlpModel | LinearModel:
-    if isinstance(params, MlpParams):
-        return MlpModel(params)
-    if isinstance(params, LinearParams):
-        return LinearModel(params)
-    raise TypeError(f"unsupported parameter type: {type(params)!r}")
 
 
 def save_params(params, path: str | Path) -> None:

@@ -8,13 +8,11 @@ matches).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
 from .data import Dataset
-from .util import atomic_write_csv
 
 _CHUNK = 1024
 
@@ -46,11 +44,6 @@ class PairSet:
 
     def __len__(self) -> int:
         return self.idx1.shape[0]
-
-    def to_csv(self, path: str | Path, config_hash: str | None = None) -> None:
-        rows = ([int(i), int(j), repr(float(d))]
-                for i, j, d in zip(self.idx1, self.idx2, self.distances))
-        atomic_write_csv(path, ["index1", "index2", "distance"], rows, config_hash)
 
 
 def pair_columns(data: Dataset) -> np.ndarray:

@@ -26,7 +26,6 @@ from .data import (
     split,
 )
 from .fairness import FairnessReport, MmdConfig
-from .model import as_model
 from .explain import kernel_shap_batch
 from .pairing import PairSet, select_eval_pairs
 from .train import TrainConfig, evaluate, train
@@ -82,6 +81,11 @@ class ScenarioConfig:
             raise ValueError("repetitions must be >= 1")
         if self.master_seed < 0:
             raise ValueError("master_seed must be >= 0")
+        if not 0.0 < self.split_ratio < 1.0:
+            raise ValueError(f"split_ratio must be in (0, 1), got {self.split_ratio!r}")
+        for name in ("n_eval_pairs", "background_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
         kind = self.dataset.get("kind")
         if kind not in _DATASET_KEYS:
             raise ValueError(f"dataset kind must be 'synthetic' or 'csv', got {kind!r}")
@@ -435,7 +439,7 @@ def emit_sensitive_attributions(
     rows = data.features[refs]
     group = np.concatenate([np.ones(len(eval_pairs), dtype=np.int8),
                             np.zeros(len(eval_pairs), dtype=np.int8)])
-    phi, _ = kernel_shap_batch(as_model(params).logits, rows, background)
+    phi, _ = kernel_shap_batch(params.logits, rows, background)
     shap_s = phi[:, data.sensitive_col]
     mean_s1 = float(shap_s[group == 1].mean())
     mean_s2 = float(shap_s[group == 0].mean())

@@ -25,6 +25,8 @@ from .util import atomic_write_csv, seed_for
 # later tags would move every sweep's seeds.
 _TAG_DATA, _TAG_SPLIT, _TAG_FIT = range(3)
 _TAG_BG, _TAG_MMD = 4, 5
+_SPLIT_RATIO = 0.8
+_N_EVAL_PAIRS = 100
 
 
 @dataclass(frozen=True)
@@ -33,13 +35,9 @@ class SweepSettings:
 
     n_points: int = 20000
     pearson_threshold: float = 0.30
-    split_ratio: float = 0.8
     epochs: int = 300
-    lr: float = 0.01
-    n_eval_pairs: int = 100
     background_size: int = 100
     n_permutations: int = 1000
-    kernel: str = "exponential"
 
 
 @dataclass
@@ -132,15 +130,11 @@ def sweep_ws(
         raise ValueError("count must be >= 2")
     settings = settings or SweepSettings()
 
-    train_ds, test_ds = split(data, settings.split_ratio, seed_for(seed, _TAG_SPLIT))
-    params = linear_train(train_ds, epochs=settings.epochs, lr=settings.lr, seed=seed_for(seed, _TAG_FIT))
-    pairs = select_eval_pairs(test_ds, settings.n_eval_pairs)
+    train_ds, test_ds = split(data, _SPLIT_RATIO, seed_for(seed, _TAG_SPLIT))
+    params = linear_train(train_ds, epochs=settings.epochs, seed=seed_for(seed, _TAG_FIT))
+    pairs = select_eval_pairs(test_ds, _N_EVAL_PAIRS)
     background = sample_background(train_ds, settings.background_size, seed_for(seed, _TAG_BG))
-    mmd_cfg = MmdConfig(
-        kernel=settings.kernel,
-        n_permutations=settings.n_permutations,
-        seed=seed_for(seed, _TAG_MMD),
-    )
+    mmd_cfg = MmdConfig(n_permutations=settings.n_permutations, seed=seed_for(seed, _TAG_MMD))
 
     ws_values = np.linspace(lo, hi, count)
     ws_norm, record = _normalize_ws(ws_values, lo, hi)
@@ -203,6 +197,7 @@ def p_sweep(
 ) -> list[dict]:
     """Regularized MLP training across a grid of dataset-bias levels.
 
+    Every p trains train_cfg with settings.epochs and a derived seed.
     Returns one row per p: dataset DP plus the trained model's accuracy,
     DP, and both procedural metrics on the test split.
     """
@@ -219,18 +214,14 @@ def p_sweep(
         data = generate_synthetic(
             SyntheticConfig(p=float(p), n_points=settings.n_points, seed=seed_for(seed, _TAG_DATA, i))
         )
-        train_ds, test_ds = split(data, settings.split_ratio, seed_for(seed, _TAG_SPLIT, i))
-        cfg = replace(train_cfg, epochs=settings.epochs, lr=settings.lr, seed=seed_for(seed, _TAG_FIT, i))
+        train_ds, test_ds = split(data, _SPLIT_RATIO, seed_for(seed, _TAG_SPLIT, i))
+        cfg = replace(train_cfg, epochs=settings.epochs, seed=seed_for(seed, _TAG_FIT, i))
         params, history = train(train_ds, cfg)
-        pairs = select_eval_pairs(test_ds, settings.n_eval_pairs)
+        pairs = select_eval_pairs(test_ds, _N_EVAL_PAIRS)
         background = sample_background(
             train_ds, settings.background_size, seed_for(seed, _TAG_BG, i)
         )
-        mmd_cfg = MmdConfig(
-            kernel=settings.kernel,
-            n_permutations=settings.n_permutations,
-            seed=seed_for(seed, _TAG_MMD, i),
-        )
+        mmd_cfg = MmdConfig(n_permutations=settings.n_permutations, seed=seed_for(seed, _TAG_MMD, i))
         report = evaluate(
             params,
             test_ds,

@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+from scipy.special import expit
 
 from .data import Dataset
 from .fairness import (
@@ -35,7 +36,6 @@ from .model import (
     _gap_term,
     adam_init,
     adam_step,
-    as_model,
     mlp_init,
 )
 from .pairing import PairSet, build_pairs
@@ -67,14 +67,13 @@ class TrainConfig:
 
 @dataclass
 class TrainHistory:
-    """Per-epoch loss traces plus wall-clock and the final parameters."""
+    """Per-epoch loss traces plus wall-clock."""
 
     total: np.ndarray
     bce: np.ndarray
     gpf: np.ndarray
     dp_proxy: np.ndarray
     seconds: float
-    params: MlpParams
 
     def to_csv(self, path: str | Path, config_hash: str | None = None) -> None:
         rows = ([epoch] + [repr(float(v)) for v in values] for epoch, values
@@ -143,7 +142,6 @@ def train(data: Dataset, cfg: TrainConfig) -> tuple[MlpParams, TrainHistory]:
         gpf=gpf,
         dp_proxy=dp_proxy,
         seconds=time.perf_counter() - t0,
-        params=params,
     )
     return params, history
 
@@ -173,8 +171,7 @@ def evaluate(
     """
     mmd_cfg = mmd_cfg or MmdConfig()
     t0 = time.perf_counter()
-    model = as_model(params)
-    probs = model.probs(test.features)
+    probs = expit(params.logits(test.features))
     preds = (probs >= threshold).astype(np.int64)
 
     accuracy = float((preds == test.labels).mean())
@@ -183,8 +180,8 @@ def evaluate(
     eop = equal_opportunity(preds, test.labels, test.group)
     eod = equalized_odds(preds, test.labels, test.group)
 
-    e1 = model.prob_grads(test.features[eval_pairs.idx1])
-    e2 = model.prob_grads(test.features[eval_pairs.idx2])
+    e1 = params.prob_grads(test.features[eval_pairs.idx1])
+    e2 = params.prob_grads(test.features[eval_pairs.idx2])
     loss = gpf_loss(e1, e2)
     pval = gpf_fae(params, test.features, eval_pairs, mmd_cfg, background=background)
 

@@ -109,7 +109,11 @@ def test_scenario_run_unknown_config_key_exit_1(tmp_path, capsys):
     out_dir = str(tmp_path / "r")
     for key, over in (("repetition", {"repetition": 1}),
                       ("hiden", {"train": {"mode": "bce_only", "epochs": 40, "hiden": 8}}),
-                      ("n_permutation", {"mmd": {"n_permutation": 150}})):
+                      ("n_permutation", {"mmd": {"n_permutation": 150}}),
+                      # out of range: fails at load time, not in every repetition
+                      ("split_ratio", {"split_ratio": 1.0}),
+                      ("n_eval_pairs", {"n_eval_pairs": 0}),
+                      ("background_size", {"background_size": 0})):
         cfg = _write_small_scenario(tmp_path, **over)
         assert main(["scenario", "run", "--config", str(cfg), "--out", out_dir]) == 1
         assert key in capsys.readouterr().err
@@ -167,6 +171,31 @@ def test_sweep_p_csv(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 2 + 2
     assert lines[1].split(",") == ["p", "dataset_dp", "acc", "dp", "gpf_fae", "gpf_loss"]
+
+
+_SWEEP_RANGES = {"ws": ["--p", "0.6", "--ws", "-1:1:2"], "p": ["--p", "0.5:0.6:2"],
+                 "grid": ["--p", "0.5:0.6:2", "--ws", "-1:1:2"]}
+
+
+def _sweep_hash_line(tmp_path, cmd, **flags):
+    out = tmp_path / f"{cmd}.csv"
+    argv = ["sweep", cmd, *_SWEEP_RANGES[cmd], "--n", "400", "--out", str(out)]
+    for flag, value in flags.items():
+        argv += [f"--{flag}", str(value)]
+    assert main(argv) == 0
+    return out.read_text().splitlines()[0]
+
+
+def test_sweep_config_hash_covers_every_flag_read(tmp_path):
+    base = {"epochs": 5, "perms": 100}
+    changed = {"epochs": 6, "perms": 101, "pearson": 0.5}
+    for cmd, read in (("ws", ("epochs", "perms", "pearson")), ("p", ("epochs", "perms")),
+                      ("grid", ("epochs", "perms", "pearson"))):
+        first = _sweep_hash_line(tmp_path, cmd, **base)
+        assert _sweep_hash_line(tmp_path, cmd, **base) == first
+        for flag in read:
+            assert _sweep_hash_line(tmp_path, cmd, **{**base, flag: changed[flag]}) != first, \
+                (cmd, flag)
 
 
 def test_sweep_bad_range_exit_1(tmp_path):

@@ -3,15 +3,15 @@ import pytest
 
 from oracles import per_row_coalition_values, random_mlp
 from procfair import explain
-from procfair.explain import (
-    ExplanationSet,
-    exact_shapley,
-    grad_explanations,
-    kernel_shap,
-    kernel_shap_batch,
-    shap_explanations,
+from procfair.explain import exact_shapley, kernel_shap, kernel_shap_batch
+from procfair.model import (
+    LinearParams,
+    MlpParams,
+    input_gradient,
+    input_gradients,
+    mlp_init,
+    mlp_logits,
 )
-from procfair.model import LinearParams, MlpParams, linear_logits, mlp_init, mlp_logits
 
 
 def _linear_predict(w, b=0.0):
@@ -19,26 +19,26 @@ def _linear_predict(w, b=0.0):
 
 
 def test_grad_explanations_delegate_to_input_gradient():
+    # batch gradient explanations equal the single-row input_gradient
     params = mlp_init(3, 5, seed=1)
     rows = np.random.default_rng(0).normal(size=(6, 3))
-    es = grad_explanations(params, rows)
-    from procfair.model import input_gradients
-
-    np.testing.assert_array_equal(es.attributions, input_gradients(params, rows))
-    assert es.method == "grad" and es.base_value == 0.0
+    batch = input_gradients(params, rows)
+    assert batch.shape == (6, 3)
+    for r in range(6):
+        np.testing.assert_allclose(batch[r], input_gradient(params, rows[r]), rtol=1e-13)
 
 
 def test_grad_explanations_zero_network():
     params = MlpParams(W1=np.zeros((4, 3)), b1=np.zeros(4), w2=np.zeros(4), b2=1.0)
-    es = grad_explanations(params, np.ones((5, 3)))
-    assert (es.attributions == 0).all()
+    assert (input_gradients(params, np.ones((5, 3))) == 0).all()
 
 
 def test_grad_explanations_linear_network():
+    # every unit stays in its linear region, so the gradient is w everywhere
     w = np.array([1.5, -2.5])
     params = MlpParams(W1=np.eye(2), b1=np.full(2, 100.0), w2=w, b2=0.0)
-    es = grad_explanations(params, np.random.default_rng(1).normal(size=(4, 2)))
-    np.testing.assert_array_equal(es.attributions, np.tile(w, (4, 1)))
+    grads = input_gradients(params, np.random.default_rng(1).normal(size=(4, 2)))
+    np.testing.assert_array_equal(grads, np.tile(w, (4, 1)))
 
 
 def test_kernel_shap_linear_closed_form():
@@ -82,7 +82,7 @@ def test_coalition_values_match_per_row_oracle(model, d, n, b, masks):
     rng = np.random.default_rng(d * 1000 + b)
     if model == "linear":
         params = LinearParams(w=rng.normal(size=d), b=0.3, sensitive_index=0)
-        predict = lambda X: linear_logits(params, X)
+        predict = params.logits
     elif model == "mlp":
         params = random_mlp(rng, d, 32)
         predict = lambda X: mlp_logits(params, X)
@@ -248,32 +248,14 @@ def test_exact_shapley_dimension_limit():
                       np.zeros(13), np.zeros((2, 13)))
 
 
-def test_shap_explanations_batch(tmp_path):
+def test_shap_explanations_batch():
     params = mlp_init(4, 6, seed=5)
     rows = np.random.default_rng(3).normal(size=(7, 4))
     bg = np.random.default_rng(4).normal(size=(10, 4))
-    es = shap_explanations(params, rows, bg)
-    assert es.method == "kernel_shap"
-    assert es.attributions.shape == (7, 4)
+    phi, base = kernel_shap_batch(params.logits, rows, bg)
+    assert phi.shape == (7, 4)
     # batch output equals row-by-row calls
     for r in range(7):
-        phi, _ = kernel_shap(lambda X: mlp_logits(params, X), rows[r], bg)
-        np.testing.assert_allclose(es.attributions[r], phi, atol=1e-10)
-
-    from procfair.explain import write_explanations_csv
-
-    path = tmp_path / "e.csv"
-    write_explanations_csv(es, np.zeros(7, dtype=int), ("a", "b", "c", "d"), path, "hash1")
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "# config_hash=hash1"
-    assert lines[1].startswith("row_ref,group,a,b,c,d,base_value,method")
-    assert len(lines) == 2 + 7
-
-
-def test_explanation_set_validation():
-    with pytest.raises(ValueError, match="finite"):
-        ExplanationSet(attributions=np.array([[np.inf]]), method="grad",
-                       row_refs=np.array([0]))
-    with pytest.raises(ValueError, match="matching"):
-        ExplanationSet(attributions=np.zeros((2, 2)), method="grad",
-                       row_refs=np.array([0]))
+        phi_r, base_r = kernel_shap(params.logits, rows[r], bg)
+        np.testing.assert_allclose(phi[r], phi_r, atol=1e-10)
+        assert base_r == base

@@ -24,7 +24,6 @@ from procfair.model import (
     mlp_init,
     mlp_logits,
     override_sensitive_weight,
-    prob_input_gradients,
     save_params,
 )
 from procfair.pairing import PairSet
@@ -95,14 +94,14 @@ def test_prob_input_gradients_scale():
     p = MlpParams(W1=np.array([[1.0, -1.0]]), b1=np.zeros(1), w2=np.array([2.0]), b2=0.0)
     x = np.array([[1.0, 0.0]])
     s = expit(2.0) * (1 - expit(2.0))
-    np.testing.assert_allclose(prob_input_gradients(p, x), s * np.array([[2.0, -2.0]]), atol=1e-15)
+    np.testing.assert_allclose(p.prob_grads(x), s * np.array([[2.0, -2.0]]), atol=1e-15)
 
 
 def test_prob_input_gradients_match_finite_differences():
     rng = np.random.default_rng(7)
     params, X = config_away_from_kinks(rng)
     np.testing.assert_allclose(
-        prob_input_gradients(params, X), prob_grad_rows(params, X), atol=1e-8
+        params.prob_grads(X), prob_grad_rows(params, X), atol=1e-8
     )
 
 
@@ -178,7 +177,7 @@ def test_gpf_grads_match_finite_differences():
         params, X = config_away_from_kinks(rng)
         pairs = _pairs_for(X, rng)
         loss, grads = gpf_loss_grads(params, X, pairs)
-        e = prob_input_gradients(params, X)
+        e = params.prob_grads(X)
         gaps = np.abs(e[pairs.idx1] - e[pairs.idx2])
         if loss == 0.0 or gaps[gaps > 0].size == 0 or gaps[gaps > 0].min() < 1e-4:
             continue  # too close to the l1 kink for finite differences

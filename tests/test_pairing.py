@@ -113,16 +113,6 @@ def test_select_eval_pairs_smallest_distances(synth65_small):
     assert ps.distances.max() <= cutoff
 
 
-def test_pairset_csv_export(tmp_path, toy_pair_dataset):
-    ps = build_pairs(toy_pair_dataset)
-    path = tmp_path / "pairs.csv"
-    ps.to_csv(path, config_hash="abc123")
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "# config_hash=abc123"
-    assert lines[1] == "index1,index2,distance"
-    assert len(lines) == 2 + len(ps)
-
-
 def test_pairset_validation():
     with pytest.raises(ValueError, match="align"):
         PairSet(idx1=np.array([0, 1]), idx2=np.array([2]), distances=np.array([0.0]))

@@ -47,6 +47,11 @@ def test_scenario_config_validation():
         small_scenario(steps=[{"op": "downsample"}])
     with pytest.raises(ValueError, match="mode"):
         small_scenario(train={"mode": "nope"})
+    # out-of-range fields fail at load time, not in every repetition
+    for field, bad in (("split_ratio", 0.0), ("split_ratio", 1.0), ("split_ratio", 1.5),
+                       ("n_eval_pairs", 0), ("background_size", 0)):
+        with pytest.raises(ValueError, match=field):
+            small_scenario(**{field: bad})
 
 
 def test_scenario_config_rejects_unknown_keys():

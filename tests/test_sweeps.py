@@ -3,7 +3,7 @@ import pytest
 
 from procfair.data import SyntheticConfig, generate_synthetic, pearson_select
 from procfair.explain import kernel_shap_batch
-from procfair.model import LinearParams, linear_logits, override_sensitive_weight
+from procfair.model import LinearParams, override_sensitive_weight
 from procfair.fairness import MmdConfig, mmd_permutation_pvalue
 from procfair.sweeps import SweepSettings, p_sweep, sweep_p_ws, sweep_ws
 from procfair.train import TrainConfig
@@ -115,12 +115,12 @@ def test_linear_shap_sensitive_weight_axioms():
     bg = data.features[rng.choice(data.n_rows, 50, replace=False)]
 
     zeroed = override_sensitive_weight(params, 0.0)
-    phi, _ = kernel_shap_batch(lambda X: linear_logits(zeroed, X), rows, bg)
+    phi, _ = kernel_shap_batch(zeroed.logits, rows, bg)
     assert np.abs(phi[:, data.sensitive_col]).max() < 1e-10
 
     # positive w_s gives advantaged rows positive sensitive attributions
     pos = override_sensitive_weight(params, 2.0)
-    phi_pos, _ = kernel_shap_batch(lambda X: linear_logits(pos, X), rows, bg)
+    phi_pos, _ = kernel_shap_batch(pos.logits, rows, bg)
     s_col = data.features[rng.choice(data.n_rows, 40, replace=False), data.sensitive_col]
     mu_s = bg[:, data.sensitive_col].mean()
     # closed form w_s (x_s - mu_s): check directly on the explained rows
@@ -135,6 +135,6 @@ def test_identical_explanations_give_pvalue_one():
     feats = rng.normal(size=(30, 2))
     both = np.vstack([feats, feats])
     params = LinearParams(w=np.array([1.0, -2.0]), b=0.0, sensitive_index=1)
-    phi, _ = kernel_shap_batch(lambda X: linear_logits(params, X), both, feats)
+    phi, _ = kernel_shap_batch(params.logits, both, feats)
     p, _ = mmd_permutation_pvalue(phi[:30], phi[30:], MmdConfig(n_permutations=150, seed=0))
     assert p == 1.0

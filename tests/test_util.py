@@ -11,7 +11,6 @@ import pytest
 import procfair
 from procfair.cli import main
 from procfair.data import SyntheticConfig, export_schema, generate_synthetic, write_csv
-from procfair.explain import ExplanationSet, write_explanations_csv
 from procfair.fairness import FairnessReport
 from procfair.model import mlp_init, save_params
 from procfair.pairing import select_eval_pairs
@@ -58,28 +57,15 @@ def _schema_to_json(tmp):
     return [tmp / "s.json"], lambda: schema.to_json(tmp / "s.json")
 
 
-def _pairs_to_csv(tmp):
-    pairs = select_eval_pairs(_data(), 5)
-    return [tmp / "p.csv"], lambda: pairs.to_csv(tmp / "p.csv", config_hash="h")
-
-
 def _history_to_csv(tmp):
     z = np.zeros(3)
-    hist = TrainHistory(total=z, bce=z, gpf=z, dp_proxy=z, seconds=0.0,
-                        params=mlp_init(2, 2, seed=0))
+    hist = TrainHistory(total=z, bce=z, gpf=z, dp_proxy=z, seconds=0.0)
     return [tmp / "h.csv"], lambda: hist.to_csv(tmp / "h.csv", config_hash="h")
 
 
 def _sweep_csv(tmp):
     rows = [{"p": 0.5, "ws": 1.0}, {"p": 0.6, "ws": 2.0}]
     return [tmp / "w.csv"], lambda: write_sweep_csv(rows, tmp / "w.csv", config_hash="h")
-
-
-def _explanations_csv(tmp):
-    es = ExplanationSet(attributions=np.ones((2, 2)), method="grad",
-                        row_refs=np.arange(2), base_value=0.0)
-    path = tmp / "e.csv"
-    return [path], lambda: write_explanations_csv(es, np.array([1, 0]), ("a", "b"), path)
 
 
 def _report_to_json(tmp):
@@ -103,9 +89,8 @@ def _bundle_write(tmp):
     return [tmp / "b.json"], lambda: _bundle("b").write(tmp / "b.json")
 
 
-WRITERS = [_write_csv, _schema_to_json, _pairs_to_csv, _history_to_csv, _sweep_csv,
-           _explanations_csv, _report_to_json, _save_params, _emit_attributions,
-           _bundle_write]
+WRITERS = [_write_csv, _schema_to_json, _history_to_csv, _sweep_csv, _report_to_json,
+           _save_params, _emit_attributions, _bundle_write]
 
 
 def _cli_compare(tmp):
