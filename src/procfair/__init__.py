@@ -50,7 +50,7 @@ from .fairness import (
     mmd,
 )
 from .train import TrainConfig, TrainHistory, dp_proxy_grads, evaluate, train, train_inverse
-from .sweeps import SweepGrid, SweepSettings, p_sweep, sweep_p_ws, sweep_ws
+from .sweeps import SweepSettings, p_sweep, sweep_p_ws, sweep_ws
 from .scenarios import (
     ResultBundle,
     ScenarioConfig,

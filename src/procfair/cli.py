@@ -15,7 +15,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .data import SyntheticConfig, dataset_dp, export_schema, generate_synthetic, write_csv
+from .data import (SyntheticConfig, dataset_dp, export_schema, generate_synthetic,
+                   pearson_select, write_csv)
 from .model import load_params, save_params
 from .scenarios import (
     ResultBundle,
@@ -160,13 +161,8 @@ def _cmd_scenario_compare(args) -> int:
     return 0
 
 
-def _sweep_settings(args) -> SweepSettings:
-    return SweepSettings(
-        n_points=args.n,
-        pearson_threshold=args.pearson,
-        epochs=args.epochs,
-        n_permutations=args.perms,
-    )
+def _sweep_settings(args, **extra) -> SweepSettings:
+    return SweepSettings(n_points=args.n, epochs=args.epochs, n_permutations=args.perms, **extra)
 
 
 def _sweep_hash(args, cmd: str, **flags) -> str:
@@ -176,13 +172,11 @@ def _sweep_hash(args, cmd: str, **flags) -> str:
 
 
 def _cmd_sweep_ws(args) -> int:
-    from .data import pearson_select
-
     lo, hi, count = _parse_range(args.ws)
     settings = _sweep_settings(args)
     data = generate_synthetic(SyntheticConfig(p=args.p, n_points=args.n, seed=args.seed))
-    data = pearson_select(data, settings.pearson_threshold)
-    rows = sweep_ws(data, (lo, hi), count, args.seed, settings, p=args.p).long_rows()
+    data = pearson_select(data, args.pearson)
+    rows = sweep_ws(data, (lo, hi), count, args.seed, settings, p=args.p)
     h = _sweep_hash(args, "sweep_ws", p=args.p, ws=args.ws, pearson=args.pearson)
     write_sweep_csv(rows, args.out, config_hash=h)
     print(f"wrote {len(rows)} sweep rows to {args.out}")
@@ -203,11 +197,11 @@ def _cmd_sweep_p(args) -> int:
 def _cmd_sweep_grid(args) -> int:
     p_lo, p_hi, p_count = _parse_range(args.p)
     ws_lo, ws_hi, ws_count = _parse_range(args.ws)
-    settings = _sweep_settings(args)
-    grid = sweep_p_ws((p_lo, p_hi), (ws_lo, ws_hi), (p_count, ws_count), args.seed, settings)
+    settings = _sweep_settings(args, pearson_threshold=args.pearson)
+    rows = sweep_p_ws((p_lo, p_hi), (ws_lo, ws_hi), (p_count, ws_count), args.seed, settings)
     h = _sweep_hash(args, "sweep_grid", p=args.p, ws=args.ws, pearson=args.pearson)
-    grid.to_csv(args.out, config_hash=h)
-    print(f"wrote {p_count * ws_count} grid rows to {args.out}")
+    write_sweep_csv(rows, args.out, config_hash=h)
+    print(f"wrote {len(rows)} grid rows to {args.out}")
     return 0
 
 
@@ -289,11 +283,12 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="bias-interaction sweeps")
     sweep_sub = sweep.add_subparsers(dest="sweep_command", required=True)
 
-    def _common_sweep_flags(sp):
+    def _common_sweep_flags(sp, pearson: bool = True):
         sp.add_argument("--n", type=int, default=20000, help="synthetic points per dataset")
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--pearson", type=float, default=0.30,
-                        help="feature-selection threshold")
+        if pearson:  # only the logistic-model sweeps select features
+            sp.add_argument("--pearson", type=float, default=0.30,
+                            help="feature-selection threshold")
         sp.add_argument("--epochs", type=int, default=300)
         sp.add_argument("--perms", type=int, default=1000, help="permutation count")
         sp.add_argument("--out", required=True, help="output CSV path")
@@ -307,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sweep_sub.add_parser("p", help="dataset-bias sweep with regularized training")
     p.add_argument("--p", default="0.5:0.65:20", help="lo:hi:count grid")
     p.add_argument("--alpha", type=float, default=0.5, help="regularizer weight")
-    _common_sweep_flags(p)
+    _common_sweep_flags(p, pearson=False)
     p.set_defaults(func=_cmd_sweep_p)
 
     p = sweep_sub.add_parser("grid", help="full p x ws grid")

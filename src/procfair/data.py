@@ -445,8 +445,3 @@ def export_schema(data: Dataset) -> ColumnSchema:
         roles["group"] = ROLE_SENSITIVE
         advantaged = data.group_names[0]
     return ColumnSchema(roles=roles, advantaged=advantaged)
-
-
-def dataset_from_csv(path: str | Path, schema_path: str | Path) -> Dataset:
-    schema = ColumnSchema.from_json(schema_path)
-    return preprocess(load_csv(path, schema), schema)

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
 from .explain import kernel_shap_batch
-from .util import atomic_write_json
+from .util import atomic_write_json, check_number_fields
 
 # Statistics at or below this are treated as exactly zero so that identical
 # explanation sets yield p = 1.0 despite float summation noise.
@@ -32,6 +32,7 @@ class MmdConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_number_fields(self)
         if self.kernel not in ("exponential", "gaussian"):
             raise ValueError(f"unknown kernel {self.kernel!r}")
         if self.bandwidth is not None and not self.bandwidth > 0:

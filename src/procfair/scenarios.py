@@ -29,7 +29,8 @@ from .fairness import FairnessReport, MmdConfig
 from .explain import kernel_shap_batch
 from .pairing import PairSet, select_eval_pairs
 from .train import TrainConfig, evaluate, train
-from .util import VERSION, atomic_write_csv, atomic_write_text, config_hash, seed_for
+from .util import (VERSION, atomic_write_csv, atomic_write_text, check_number,
+                   check_number_fields, config_hash, seed_for)
 
 # Stage tags for per-repetition seed derivation.
 _TAG_DATA = 0
@@ -52,6 +53,7 @@ _STEP_KEYS = {
     "pearson_select": (("op", "threshold"), ()),
     "attach_fake_sensitive": (("op",), ()),
 }
+_SPEC_NUMBERS = {"p": "float", "n": "int", "dp_threshold": "float", "threshold": "float"}
 
 
 @dataclass(frozen=True)
@@ -77,6 +79,7 @@ class ScenarioConfig:
     def __post_init__(self):
         for name in ("dataset", "train", "mmd"):
             object.__setattr__(self, name, dict(getattr(self, name)))
+        check_number_fields(self)
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         if self.master_seed < 0:
@@ -150,6 +153,8 @@ def _check_spec(section: str, spec: dict, required: tuple, optional: tuple) -> N
     if missing:
         raise ValueError(f"{section} spec needs {', '.join(map(repr, missing))}")
     _reject_unknown_keys(section, spec, required + optional)
+    for key in sorted(set(spec) & set(_SPEC_NUMBERS)):
+        check_number(f"{section} {key}", spec[key], _SPEC_NUMBERS[key])
 
 
 @dataclass
@@ -283,6 +288,7 @@ class RepetitionResult:
     report: "FairnessReport"
     params: object
     history: object
+    train_ds: Dataset
     test_ds: Dataset
     pairs: PairSet
     background: np.ndarray
@@ -304,7 +310,7 @@ def run_repetition(cfg: ScenarioConfig, rep: int) -> RepetitionResult:
             params, test_ds, pairs, mmd_cfg, background=background,
             train_seconds=history.seconds,
         )
-        return RepetitionResult(report, params, history, test_ds, pairs, background)
+        return RepetitionResult(report, params, history, train_ds, test_ds, pairs, background)
     except Exception as exc:
         raise StageError(stage, exc) from exc
 

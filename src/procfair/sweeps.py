@@ -3,26 +3,28 @@
 sweep_ws injects controlled decision-process bias by overriding the
 sensitive weight of a fitted logistic model; sweep_p_ws crosses that with
 controlled dataset bias; p_sweep tracks how regularized MLP training
-responds to growing dataset bias.
+responds to growing dataset bias. Every sweep returns long-format rows, one
+dict per cell, ready for write_sweep_csv.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .data import Dataset, SyntheticConfig, dataset_dp, generate_synthetic, pearson_select, split
-from .fairness import FairnessReport, MmdConfig
+from .fairness import MmdConfig
 from .model import linear_train, override_sensitive_weight
 from .pairing import select_eval_pairs
-from .scenarios import sample_background
-from .train import TrainConfig, evaluate, train
+from .scenarios import ScenarioConfig, run_repetition, sample_background
+from .train import TrainConfig, evaluate
+from .train import train  # noqa: F401  (not called here; perfbench's tracer wraps this name)
 from .util import atomic_write_csv, seed_for
 
-# Stage tags for per-sweep seed derivation. Tag 3 is unused; renumbering the
-# later tags would move every sweep's seeds.
+# Stage tags for sweep_ws/sweep_p_ws seed derivation. Tag 3 is unused;
+# renumbering the later tags would move every sweep's seeds.
 _TAG_DATA, _TAG_SPLIT, _TAG_FIT = range(3)
 _TAG_BG, _TAG_MMD = 4, 5
 _SPLIT_RATIO = 0.8
@@ -40,72 +42,11 @@ class SweepSettings:
     n_permutations: int = 1000
 
 
-@dataclass
-class SweepSlice:
-    """One fixed-p row of the grid: reports for every swept w_s value."""
-
-    p: float | None
-    ws_values: np.ndarray
-    ws_normalized: np.ndarray
-    norm_record: dict
-    reports: list[FairnessReport]
-
-    def long_rows(self) -> list[dict]:
-        return [
-            {
-                "p": self.p,
-                "ws": float(ws),
-                "ws_normalized": float(ws_norm),
-                "dp": r.dp,
-                "gpf_fae": r.gpf_fae,
-                "acc": r.accuracy,
-            }
-            for ws, ws_norm, r in zip(self.ws_values, self.ws_normalized, self.reports)
-        ]
-
-
-@dataclass
-class SweepGrid:
-    """Complete p x w_s grid of fairness reports."""
-
-    p_values: np.ndarray
-    ws_values: np.ndarray
-    ws_normalized: np.ndarray
-    norm_record: dict
-    reports: list[list[FairnessReport]]  # indexed [p][ws]
-
-    def plane_at_p(self, p: float) -> SweepSlice:
-        i = int(np.argmin(np.abs(self.p_values - p)))
-        return SweepSlice(
-            p=float(self.p_values[i]),
-            ws_values=self.ws_values,
-            ws_normalized=self.ws_normalized,
-            norm_record=self.norm_record,
-            reports=self.reports[i],
-        )
-
-    def plane_at_ws(self, ws: float) -> tuple[float, np.ndarray, list[FairnessReport]]:
-        j = int(np.argmin(np.abs(self.ws_values - ws)))
-        return float(self.ws_values[j]), self.p_values, [row[j] for row in self.reports]
-
-    def to_csv(self, path: str | Path, config_hash: str | None = None) -> None:
-        write_sweep_csv(self.long_rows(), path, config_hash)
-
-    def long_rows(self) -> list[dict]:
-        return [row for p in self.p_values for row in self.plane_at_p(p).long_rows()]
-
-
 def write_sweep_csv(rows: list[dict], path: str | Path, config_hash: str | None = None) -> None:
     if not rows:
         raise ValueError("no sweep rows to write")
     header = list(rows[0])
     atomic_write_csv(path, header, ([row[k] for k in header] for row in rows), config_hash)
-
-
-def _normalize_ws(ws_values: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray, dict]:
-    norm = 2.0 * (ws_values - lo) / (hi - lo) - 1.0
-    record = {"method": "minmax_to_[-1,1]", "lo": lo, "hi": hi}
-    return norm, record
 
 
 def sweep_ws(
@@ -115,13 +56,14 @@ def sweep_ws(
     seed: int,
     settings: SweepSettings | None = None,
     p: float | None = None,
-) -> SweepSlice:
+) -> list[dict]:
     """Fit one logistic model, then report fairness for every overridden
     sensitive weight on a uniform grid over ws_range.
 
     Expects feature-selected data (sensitive column tracked). The test
     split, evaluation pairs, and permutation seed are fixed across cells so
-    every cell is exactly reproducible.
+    every cell is exactly reproducible. One row per w_s value; ws_normalized
+    maps ws_range min-max onto [-1, 1].
     """
     lo, hi = ws_range
     if not lo < hi:
@@ -137,14 +79,14 @@ def sweep_ws(
     mmd_cfg = MmdConfig(n_permutations=settings.n_permutations, seed=seed_for(seed, _TAG_MMD))
 
     ws_values = np.linspace(lo, hi, count)
-    ws_norm, record = _normalize_ws(ws_values, lo, hi)
-    reports = [
-        evaluate(override_sensitive_weight(params, float(ws)), test_ds, pairs, mmd_cfg, background)
-        for ws in ws_values
-    ]
-    return SweepSlice(
-        p=p, ws_values=ws_values, ws_normalized=ws_norm, norm_record=record, reports=reports
-    )
+    ws_normalized = 2.0 * (ws_values - lo) / (hi - lo) - 1.0
+    rows = []
+    for ws, ws_norm in zip(ws_values, ws_normalized):
+        model = override_sensitive_weight(params, float(ws))
+        r = evaluate(model, test_ds, pairs, mmd_cfg, background)
+        rows.append({"p": p, "ws": float(ws), "ws_normalized": float(ws_norm),
+                     "dp": r.dp, "gpf_fae": r.gpf_fae, "acc": r.accuracy})
+    return rows
 
 
 def sweep_p_ws(
@@ -153,11 +95,12 @@ def sweep_p_ws(
     counts: tuple[int, int],
     seed: int,
     settings: SweepSettings | None = None,
-) -> SweepGrid:
+) -> list[dict]:
     """Full dataset-bias x decision-bias grid on synthetic data.
 
     Each p gets a fresh synthetic dataset, feature selection, and one
-    logistic fit before its w_s row is swept.
+    logistic fit before its w_s row is swept. Rows run p-major: every w_s
+    of the first p, then of the next.
     """
     p_lo, p_hi = p_range
     if not p_lo < p_hi:
@@ -167,25 +110,14 @@ def sweep_p_ws(
         raise ValueError("grid counts must be >= 2")
     settings = settings or SweepSettings()
 
-    p_values = np.linspace(p_lo, p_hi, n_p)
-    rows: list[list[FairnessReport]] = []
-    ws_values = ws_norm = None
-    record: dict = {}
-    for i, p in enumerate(p_values):
+    rows: list[dict] = []
+    for i, p in enumerate(np.linspace(p_lo, p_hi, n_p)):
         data = generate_synthetic(
             SyntheticConfig(p=float(p), n_points=settings.n_points, seed=seed_for(seed, _TAG_DATA, i))
         )
         data = pearson_select(data, settings.pearson_threshold)
-        sl = sweep_ws(data, ws_range, n_ws, seed_for(seed, 100, i), settings, p=float(p))
-        rows.append(sl.reports)
-        ws_values, ws_norm, record = sl.ws_values, sl.ws_normalized, sl.norm_record
-    return SweepGrid(
-        p_values=p_values,
-        ws_values=ws_values,
-        ws_normalized=ws_norm,
-        norm_record=record,
-        reports=rows,
-    )
+        rows += sweep_ws(data, ws_range, n_ws, seed_for(seed, 100, i), settings, p=float(p))
+    return rows
 
 
 def p_sweep(
@@ -197,9 +129,11 @@ def p_sweep(
 ) -> list[dict]:
     """Regularized MLP training across a grid of dataset-bias levels.
 
-    Every p trains train_cfg with settings.epochs and a derived seed.
-    Returns one row per p: dataset DP plus the trained model's accuracy,
-    DP, and both procedural metrics on the test split.
+    Each p is repetition 0 of a one-repetition synthetic scenario with
+    master seed `seed`, training train_cfg for settings.epochs. Returns one
+    row per p: the training split's DP plus the trained model's accuracy,
+    DP, and both procedural metrics on the test split. A failing p raises
+    StageError naming its stage.
     """
     lo, hi = p_range
     if not lo < hi:
@@ -210,34 +144,16 @@ def p_sweep(
     train_cfg = train_cfg or TrainConfig(mode="procedural", alpha=0.5)
 
     rows = []
-    for i, p in enumerate(np.linspace(lo, hi, count)):
-        data = generate_synthetic(
-            SyntheticConfig(p=float(p), n_points=settings.n_points, seed=seed_for(seed, _TAG_DATA, i))
+    for p in np.linspace(lo, hi, count):
+        cfg = ScenarioConfig(
+            scenario_id="p_sweep", repetitions=1, master_seed=seed,
+            dataset={"kind": "synthetic", "p": float(p), "n": settings.n_points},
+            train={**asdict(train_cfg), "epochs": settings.epochs},
+            background_size=settings.background_size,
+            mmd={"n_permutations": settings.n_permutations},
         )
-        train_ds, test_ds = split(data, _SPLIT_RATIO, seed_for(seed, _TAG_SPLIT, i))
-        cfg = replace(train_cfg, epochs=settings.epochs, seed=seed_for(seed, _TAG_FIT, i))
-        params, history = train(train_ds, cfg)
-        pairs = select_eval_pairs(test_ds, _N_EVAL_PAIRS)
-        background = sample_background(
-            train_ds, settings.background_size, seed_for(seed, _TAG_BG, i)
-        )
-        mmd_cfg = MmdConfig(n_permutations=settings.n_permutations, seed=seed_for(seed, _TAG_MMD, i))
-        report = evaluate(
-            params,
-            test_ds,
-            pairs,
-            mmd_cfg,
-            background=background,
-            train_seconds=history.seconds,
-        )
-        rows.append(
-            {
-                "p": float(p),
-                "dataset_dp": dataset_dp(data),
-                "acc": report.accuracy,
-                "dp": report.dp,
-                "gpf_fae": report.gpf_fae,
-                "gpf_loss": report.gpf_loss,
-            }
-        )
+        result = run_repetition(cfg, 0)
+        r = result.report
+        rows.append({"p": float(p), "dataset_dp": dataset_dp(result.train_ds), "acc": r.accuracy,
+                     "dp": r.dp, "gpf_fae": r.gpf_fae, "gpf_loss": r.gpf_loss})
     return rows

@@ -39,7 +39,7 @@ from .model import (
     mlp_init,
 )
 from .pairing import PairSet, build_pairs
-from .util import atomic_write_csv
+from .util import atomic_write_csv, check_number_fields
 
 MODES = ("bce_only", "procedural", "dp_regularized")
 
@@ -55,6 +55,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_number_fields(self)
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.epochs < 1:

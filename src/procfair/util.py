@@ -1,4 +1,5 @@
-"""Shared plumbing: seed derivation, config hashing, atomic file writes."""
+"""Shared plumbing: seed derivation, config hashing, config type checks,
+atomic file writes."""
 
 from __future__ import annotations
 
@@ -6,8 +7,10 @@ import csv
 import hashlib
 import io
 import json
+import numbers
 import os
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +27,28 @@ def config_hash(obj) -> str:
     """sha256 over the canonical JSON form of a config object."""
     payload = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def check_number(name: str, value, kind: str) -> None:
+    """ValueError naming `name` unless value fits kind "int" or "float".
+
+    A bool is neither; a float field accepts an int, an int field no float.
+    """
+    expected = numbers.Integral if kind == "int" else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, expected):
+        noun = "an integer" if kind == "int" else "a number"
+        raise ValueError(f"{name} must be {noun}, got {value!r}")
+
+
+def check_number_fields(obj) -> None:
+    """check_number on every dataclass field of obj annotated int or float;
+    a `float | None` field also accepts None. The annotations are read as
+    strings, so the class's module needs `from __future__ import annotations`."""
+    for f in fields(obj):
+        kind, _, rest = f.type.partition(" | ")
+        value = getattr(obj, f.name)
+        if kind in ("int", "float") and not (rest == "None" and value is None):
+            check_number(f.name, value, kind)
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

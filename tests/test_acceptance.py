@@ -131,10 +131,10 @@ def test_criterion_05_dataset_bias_sweep_trend():
 def test_criterion_06_sensitive_weight_sweep_shapes():
     data = generate_synthetic(SyntheticConfig(p=0.65, n_points=20000, seed=1))
     data = pearson_select(data, 0.30)
-    sl = sweep_ws(data, (-5.0, 5.0), 101, seed=5, settings=SweepSettings(), p=0.65)
-    ws = sl.ws_values
-    dp = np.array([r.dp for r in sl.reports])
-    gpf = np.array([r.gpf_fae for r in sl.reports])
+    rows = sweep_ws(data, (-5.0, 5.0), 101, seed=5, settings=SweepSettings(), p=0.65)
+    ws = np.array([r["ws"] for r in rows])
+    dp = np.array([r["dp"] for r in rows])
+    gpf = np.array([r["gpf_fae"] for r in rows])
 
     i0 = int(np.argmin(np.abs(ws)))
     argmax_at_zero = gpf[i0] == gpf.max()

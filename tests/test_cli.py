@@ -1,7 +1,7 @@
 import json
 
 from procfair.cli import main
-from procfair.data import dataset_from_csv
+from procfair.data import ColumnSchema, load_csv, preprocess
 
 
 def _write_small_scenario(tmp_path, **over):
@@ -31,9 +31,10 @@ def test_generate_writes_csv_and_schema(tmp_path, capsys):
     assert lines[0].startswith("# config_hash=")
     assert lines[1] == "x1,x2,xp,xs,label,group"
     assert len(lines) == 2 + 500
-    schema = tmp_path / "data.csv.schema.json"
-    assert schema.exists()
-    back = dataset_from_csv(out, schema)
+    schema_path = tmp_path / "data.csv.schema.json"
+    assert schema_path.exists()
+    schema = ColumnSchema.from_json(schema_path)
+    back = preprocess(load_csv(out, schema), schema)
     assert back.n_rows == 500 and back.n_features == 4
 
 
@@ -113,7 +114,13 @@ def test_scenario_run_unknown_config_key_exit_1(tmp_path, capsys):
                       # out of range: fails at load time, not in every repetition
                       ("split_ratio", {"split_ratio": 1.0}),
                       ("n_eval_pairs", {"n_eval_pairs": 0}),
-                      ("background_size", {"background_size": 0})):
+                      ("background_size", {"background_size": 0}),
+                      # wrong type: fails at load time, not as a runtime failure
+                      ("split_ratio", {"split_ratio": "0.8"}),
+                      ("epochs", {"train": {"mode": "bce_only", "epochs": "2"}}),
+                      ("n_eval_pairs", {"n_eval_pairs": True}),
+                      ("threshold", {"steps": [{"op": "pearson_select",
+                                                "threshold": "0.3"}]})):
         cfg = _write_small_scenario(tmp_path, **over)
         assert main(["scenario", "run", "--config", str(cfg), "--out", out_dir]) == 1
         assert key in capsys.readouterr().err
@@ -196,6 +203,19 @@ def test_sweep_config_hash_covers_every_flag_read(tmp_path):
         for flag in read:
             assert _sweep_hash_line(tmp_path, cmd, **{**base, flag: changed[flag]}) != first, \
                 (cmd, flag)
+
+
+def test_sweep_p_rejects_pearson_exit_1(tmp_path):
+    # sweep p selects no features, so it offers no feature-selection threshold
+    assert main(["sweep", "p", "--p", "0.5:0.6:2", "--n", "400", "--epochs", "5",
+                 "--perms", "100", "--pearson", "0.3", "--out", str(tmp_path / "p.csv")]) == 1
+    assert not (tmp_path / "p.csv").exists()
+
+
+def test_sweep_p_failing_point_exit_2(tmp_path, capsys):
+    assert main(["sweep", "p", "--p", "0.5:0.6:2", "--n", "3", "--epochs", "5",
+                 "--perms", "100", "--out", str(tmp_path / "p.csv")]) == 2
+    assert "runtime failure: dataset:" in capsys.readouterr().err
 
 
 def test_sweep_bad_range_exit_1(tmp_path):

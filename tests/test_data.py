@@ -8,7 +8,6 @@ from procfair.data import (
     SyntheticConfig,
     attach_fake_sensitive,
     dataset_dp,
-    dataset_from_csv,
     export_schema,
     generate_synthetic,
     load_csv,
@@ -291,7 +290,8 @@ def test_round_trip_csv(tmp_path, synth65_small):
     schema = export_schema(synth65_small)
     schema_path = tmp_path / "d.schema.json"
     schema.to_json(schema_path)
-    back = dataset_from_csv(path, schema_path)
+    reloaded = ColumnSchema.from_json(schema_path)
+    back = preprocess(load_csv(path, reloaded), reloaded)
     assert back.feature_names == synth65_small.feature_names
     np.testing.assert_allclose(back.features, synth65_small.features, atol=1e-9)
     np.testing.assert_array_equal(back.labels, synth65_small.labels)

@@ -91,6 +91,35 @@ def test_scenario_config_rejects_unknown_and_missing_spec_keys():
         ScenarioConfig.from_dict(load_preset(name))
 
 
+@pytest.mark.parametrize("field, over", [
+    ("split_ratio", {"split_ratio": "0.8"}),
+    ("repetitions", {"repetitions": 1.5}),
+    ("n_eval_pairs", {"n_eval_pairs": True}),
+    ("master_seed", {"master_seed": "3"}),
+    ("epochs", {"train": {"mode": "bce_only", "epochs": "2"}}),
+    ("hidden", {"train": {"mode": "bce_only", "hidden": 8.0}}),
+    ("lr", {"train": {"mode": "bce_only", "lr": True}}),
+    ("n_permutations", {"mmd": {"n_permutations": "200"}}),
+    ("bandwidth", {"mmd": {"bandwidth": "1.0"}}),
+    ("p", {"dataset": {"kind": "synthetic", "p": "0.65"}}),
+    ("n", {"dataset": {"kind": "synthetic", "p": 0.65, "n": "300"}}),
+    ("threshold", {"steps": [{"op": "pearson_select", "threshold": "0.3"}]}),
+    ("dp_threshold", {"steps": [{"op": "resample_unfair", "dp_threshold": False}]}),
+])
+def test_scenario_config_rejects_wrong_typed_values(field, over):
+    # a wrong type fails at load time, naming the field, instead of failing
+    # every repetition or running a degenerate evaluation
+    with pytest.raises(ValueError, match=rf"\b{field} must be (an integer|a number), got"):
+        small_scenario(**over)
+
+
+def test_scenario_config_float_fields_accept_ints():
+    cfg = small_scenario(dataset={"kind": "synthetic", "p": 1, "n": 1000},
+                         train={"mode": "bce_only", "lr": 1, "alpha": 0},
+                         mmd={"n_permutations": 150, "bandwidth": None})
+    assert cfg.dataset["p"] == 1 and cfg.train["lr"] == 1
+
+
 def test_scenario_config_json_round_trip(tmp_path):
     cfg = small_scenario()
     path = tmp_path / "cfg.json"
