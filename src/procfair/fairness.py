@@ -8,7 +8,7 @@ cross-group explanation pairs (1.0 = fair decision process).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -41,55 +41,26 @@ class MmdConfig:
             raise ValueError("n_permutations must be >= 100")
 
 
-@dataclass
+@dataclass(kw_only=True)
 class FairnessReport:
-    """All metrics for one trained model; undefined metrics carry a reason."""
+    """All metrics for one trained model; undefined metrics carry a reason.
+    The field order is the key order of report files and bundle reports."""
 
     accuracy: float
     dp: float
     di: float | None
+    di_reason: str | None = None
     eop: float | None
+    eop_reason: str | None = None
     eod: float | None
+    eod_reason: str | None = None
     gpf_fae: float
     gpf_loss: float
     train_seconds: float = 0.0
     eval_seconds: float = 0.0
-    di_reason: str | None = None
-    eop_reason: str | None = None
-    eod_reason: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "dp": self.dp,
-            "di": self.di,
-            "di_reason": self.di_reason,
-            "eop": self.eop,
-            "eop_reason": self.eop_reason,
-            "eod": self.eod,
-            "eod_reason": self.eod_reason,
-            "gpf_fae": self.gpf_fae,
-            "gpf_loss": self.gpf_loss,
-            "train_seconds": self.train_seconds,
-            "eval_seconds": self.eval_seconds,
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "FairnessReport":
-        return cls(
-            accuracy=obj["accuracy"],
-            dp=obj["dp"],
-            di=obj["di"],
-            eop=obj["eop"],
-            eod=obj["eod"],
-            gpf_fae=obj["gpf_fae"],
-            gpf_loss=obj["gpf_loss"],
-            train_seconds=obj.get("train_seconds", 0.0),
-            eval_seconds=obj.get("eval_seconds", 0.0),
-            di_reason=obj.get("di_reason"),
-            eop_reason=obj.get("eop_reason"),
-            eod_reason=obj.get("eod_reason"),
-        )
+        return asdict(self)
 
     def to_json(self, path: str | Path, config_hash: str | None = None) -> None:
         """The report as JSON, led by a `config_hash` key when one is given."""
@@ -192,6 +163,25 @@ def _mmd_from_indicator(K: np.ndarray, total: float, row_sums: np.ndarray, in_a:
     return stat if stat > _STAT_SNAP else 0.0
 
 
+def _mmd_setup(e1, e2, cfg: MmdConfig):
+    """Pool two explanation sets: (K, total, row_sums, n, observed MMD^2),
+    with n the size of the first set, or None when every pooled point is
+    identical."""
+    a1, a2 = _attr_matrix(e1), _attr_matrix(e2)
+    if a1.shape[0] == 0 or a2.shape[0] == 0:
+        raise ValueError("both explanation sets must be non-empty")
+    n = a1.shape[0]
+    pooled = np.vstack([a1, a2])
+    K, sigma = _kernel_matrix(pooled, cfg)
+    if sigma == 0.0:
+        return None
+    total = float(K.sum())
+    row_sums = K.sum(axis=1)
+    in_a = np.zeros(pooled.shape[0])
+    in_a[:n] = 1.0
+    return K, total, row_sums, n, _mmd_from_indicator(K, total, row_sums, in_a)
+
+
 def mmd(e1, e2, cfg: MmdConfig | None = None) -> float:
     """Biased-estimator squared MMD between two explanation sets.
 
@@ -199,17 +189,8 @@ def mmd(e1, e2, cfg: MmdConfig | None = None) -> float:
     the bandwidth from the median heuristic over the pooled set. Returns 0
     when every pooled point is identical.
     """
-    cfg = cfg or MmdConfig()
-    a1, a2 = _attr_matrix(e1), _attr_matrix(e2)
-    if a1.shape[0] == 0 or a2.shape[0] == 0:
-        raise ValueError("both explanation sets must be non-empty")
-    pooled = np.vstack([a1, a2])
-    K, sigma = _kernel_matrix(pooled, cfg)
-    if sigma == 0.0:
-        return 0.0
-    in_a = np.zeros(pooled.shape[0])
-    in_a[: a1.shape[0]] = 1.0
-    return _mmd_from_indicator(K, float(K.sum()), K.sum(axis=1), in_a)
+    setup = _mmd_setup(e1, e2, cfg or MmdConfig())
+    return 0.0 if setup is None else setup[-1]
 
 
 def mmd_permutation_pvalue(e1, e2, cfg: MmdConfig | None = None) -> tuple[float, float]:
@@ -220,20 +201,11 @@ def mmd_permutation_pvalue(e1, e2, cfg: MmdConfig | None = None) -> tuple[float,
     with the +1/+1 estimator, so p lies in [1/(n_perm+1), 1].
     """
     cfg = cfg or MmdConfig()
-    a1, a2 = _attr_matrix(e1), _attr_matrix(e2)
-    if a1.shape[0] == 0 or a2.shape[0] == 0:
-        raise ValueError("both explanation sets must be non-empty")
-    n, m = a1.shape[0], a2.shape[0]
-    pooled = np.vstack([a1, a2])
-    K, sigma = _kernel_matrix(pooled, cfg)
-    if sigma == 0.0:
+    setup = _mmd_setup(e1, e2, cfg)
+    if setup is None:
         return 1.0, 0.0
-    total = float(K.sum())
-    row_sums = K.sum(axis=1)
-
-    in_a = np.zeros(n + m)
-    in_a[:n] = 1.0
-    observed = _mmd_from_indicator(K, total, row_sums, in_a)
+    K, total, row_sums, n, observed = setup
+    m = K.shape[0] - n
 
     rng = np.random.default_rng(cfg.seed)
     count = 0

@@ -126,9 +126,11 @@ class AdamState:
     m: dict[str, np.ndarray | float]
     v: dict[str, np.ndarray | float]
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+
+
+_ADAM_BETA1 = 0.9
+_ADAM_BETA2 = 0.999
+_ADAM_EPS = 1e-8
 
 
 def mlp_init(d: int, h: int, seed: int) -> MlpParams:
@@ -308,16 +310,14 @@ def adam_step(state: AdamState, params, grads: dict, lr: float):
         g = grads[key]
         if not np.isscalar(theta) and np.shape(g) != np.shape(theta):
             raise ValueError(f"gradient shape mismatch for {key!r}")
-        m = state.beta1 * state.m[key] + (1.0 - state.beta1) * g
-        v = state.beta2 * state.v[key] + (1.0 - state.beta2) * (g * g)
-        m_hat = m / (1.0 - state.beta1**t)
-        v_hat = v / (1.0 - state.beta2**t)
-        new_tree[key] = theta - lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        m = _ADAM_BETA1 * state.m[key] + (1.0 - _ADAM_BETA1) * g
+        v = _ADAM_BETA2 * state.v[key] + (1.0 - _ADAM_BETA2) * (g * g)
+        m_hat = m / (1.0 - _ADAM_BETA1**t)
+        v_hat = v / (1.0 - _ADAM_BETA2**t)
+        new_tree[key] = theta - lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
         new_m[key] = m
         new_v[key] = v
-    return params.from_tree(new_tree), AdamState(
-        m=new_m, v=new_v, step=t, beta1=state.beta1, beta2=state.beta2, eps=state.eps
-    )
+    return params.from_tree(new_tree), AdamState(m=new_m, v=new_v, step=t)
 
 
 def linear_init(d: int, sensitive_index: int, seed: int) -> LinearParams:

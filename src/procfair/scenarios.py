@@ -5,7 +5,7 @@ attribution dumps."""
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from importlib import resources
 from pathlib import Path
@@ -30,7 +30,8 @@ from .explain import kernel_shap_batch
 from .pairing import PairSet, select_eval_pairs
 from .train import TrainConfig, evaluate, train
 from .util import (VERSION, atomic_write_csv, atomic_write_text, check_number,
-                   check_number_fields, config_hash, seed_for)
+                   check_number_fields, config_hash, from_fields, reject_unknown_keys,
+                   seed_for)
 
 # Stage tags for per-repetition seed derivation.
 _TAG_DATA = 0
@@ -56,20 +57,21 @@ _STEP_KEYS = {
 _SPEC_NUMBERS = {"p": "float", "n": "int", "dp_threshold": "float", "threshold": "float"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ScenarioConfig:
     """Everything needed to reproduce one experiment exactly.
 
     dataset is either {"kind": "synthetic", "p": ..., "n": ...} or
     {"kind": "csv", "path": ..., "schema": ...}; steps is an ordered list
-    of preprocessing transforms applied before the split.
+    of preprocessing transforms applied before the split. The field order
+    is the key order of the config file.
     """
 
     scenario_id: str
     dataset: dict
-    train: dict
     steps: tuple = ()
     split_ratio: float = 0.8
+    train: dict
     n_eval_pairs: int = 100
     background_size: int = 100
     mmd: dict = field(default_factory=dict)
@@ -77,8 +79,16 @@ class ScenarioConfig:
     master_seed: int = 0
 
     def __post_init__(self):
+        _check_spec("dataset", self.dataset, "kind", _DATASET_KEYS)
+        if not isinstance(self.steps, (list, tuple)):
+            raise ValueError(f"steps must be a JSON list, got {type(self.steps).__name__}")
+        for step in self.steps:
+            _check_spec("step", step, "op", _STEP_KEYS)
+        from_fields(TrainConfig, self.train, "train config")  # validate eagerly
+        from_fields(MmdConfig, self.mmd, "mmd config")
         for name in ("dataset", "train", "mmd"):
             object.__setattr__(self, name, dict(getattr(self, name)))
+        object.__setattr__(self, "steps", tuple(dict(s) for s in self.steps))
         check_number_fields(self)
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
@@ -89,45 +99,16 @@ class ScenarioConfig:
         for name in ("n_eval_pairs", "background_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
-        kind = self.dataset.get("kind")
-        if kind not in _DATASET_KEYS:
-            raise ValueError(f"dataset kind must be 'synthetic' or 'csv', got {kind!r}")
-        _check_spec(f"{kind} dataset", self.dataset, *_DATASET_KEYS[kind])
-        for step in self.steps:
-            op = step.get("op")
-            if op not in _STEP_KEYS:
-                raise ValueError(f"unknown preprocessing step {op!r}")
-            _check_spec(f"{op} step", step, *_STEP_KEYS[op])
-        _reject_unknown_keys("train", self.train, _field_names(TrainConfig))
-        _reject_unknown_keys("mmd", self.mmd, _field_names(MmdConfig))
-        TrainConfig(**self.train)  # validate eagerly
-        MmdConfig(**self.mmd)
-        object.__setattr__(self, "steps", tuple(dict(s) for s in self.steps))
 
     def to_dict(self) -> dict:
-        return {
-            "scenario_id": self.scenario_id,
-            "dataset": dict(self.dataset),
-            "steps": [dict(s) for s in self.steps],
-            "split_ratio": self.split_ratio,
-            "train": dict(self.train),
-            "n_eval_pairs": self.n_eval_pairs,
-            "background_size": self.background_size,
-            "mmd": dict(self.mmd),
-            "repetitions": self.repetitions,
-            "master_seed": self.master_seed,
-        }
+        return {**asdict(self), "steps": [dict(s) for s in self.steps]}
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ScenarioConfig":
         """Keys starting with '_' are comments; any other unknown key is an error."""
-        keys = {k: v for k, v in obj.items() if not k.startswith("_")}
-        _reject_unknown_keys("top-level", keys, _field_names(cls))
-        missing = [f.name for f in fields(cls) if f.default is MISSING
-                   and f.default_factory is MISSING and f.name not in keys]
-        if missing:
-            raise ValueError(f"missing top-level config key(s): {', '.join(missing)}")
-        return cls(**keys)
+        if isinstance(obj, dict):
+            obj = {k: v for k, v in obj.items() if not k.startswith("_")}
+        return from_fields(cls, obj, "top-level config")
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ScenarioConfig":
@@ -138,28 +119,27 @@ class ScenarioConfig:
         return config_hash(self.to_dict())
 
 
-def _field_names(cls) -> set[str]:
-    return {f.name for f in fields(cls)}
-
-
-def _reject_unknown_keys(section: str, keys, allowed) -> None:
-    unknown = sorted(set(keys) - set(allowed))
-    if unknown:
-        raise ValueError(f"unknown {section} config key(s): {', '.join(unknown)}")
-
-
-def _check_spec(section: str, spec: dict, required: tuple, optional: tuple) -> None:
+def _check_spec(section: str, spec, tag: str, table: dict) -> None:
+    """A dataset or step spec is a dict whose `tag` names an entry of table,
+    holding that entry's (required, optional) keys and no other."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"{section} must be a JSON object, got {type(spec).__name__}")
+    kind = spec.get(tag)
+    if not isinstance(kind, str) or kind not in table:
+        raise ValueError(f"unknown {section} {tag} {kind!r}; expected one of {sorted(table)}")
+    required, optional = table[kind]
     missing = [k for k in required if k not in spec]
     if missing:
-        raise ValueError(f"{section} spec needs {', '.join(map(repr, missing))}")
-    _reject_unknown_keys(section, spec, required + optional)
+        raise ValueError(f"{kind} {section} spec needs {', '.join(map(repr, missing))}")
+    reject_unknown_keys(f"{kind} {section} config", spec, required + optional)
     for key in sorted(set(spec) & set(_SPEC_NUMBERS)):
-        check_number(f"{section} {key}", spec[key], _SPEC_NUMBERS[key])
+        check_number(f"{kind} {section} {key}", spec[key], _SPEC_NUMBERS[key])
 
 
 @dataclass
 class ResultBundle:
-    """Per-repetition reports plus aggregates and provenance."""
+    """Per-repetition reports plus aggregates and provenance. The field
+    order is the key order of the bundle file."""
 
     scenario: dict
     config_hash: str
@@ -169,36 +149,13 @@ class ResultBundle:
     errors: list[dict]
     aggregate: dict
 
-    def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "config_hash": self.config_hash,
-            "version": self.version,
-            "timestamp": self.timestamp,
-            "reports": self.reports,
-            "errors": self.errors,
-            "aggregate": self.aggregate,
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "ResultBundle":
-        return cls(
-            scenario=obj["scenario"],
-            config_hash=obj["config_hash"],
-            version=obj["version"],
-            timestamp=obj["timestamp"],
-            reports=obj["reports"],
-            errors=obj["errors"],
-            aggregate=obj["aggregate"],
-        )
-
     @classmethod
     def from_json(cls, path: str | Path) -> "ResultBundle":
         with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+            return from_fields(cls, json.load(fh), "bundle")
 
     def write(self, path: str | Path) -> None:
-        atomic_write_text(path, json.dumps(self.to_dict(), indent=2))
+        atomic_write_text(path, json.dumps(asdict(self), indent=2))
 
     def metric_payload(self) -> str:
         """Canonical JSON of everything that must reproduce bit-for-bit

@@ -42,6 +42,7 @@ from .pairing import PairSet, build_pairs
 from .util import atomic_write_csv, check_number_fields
 
 MODES = ("bce_only", "procedural", "dp_regularized")
+_THRESHOLD = 0.5  # probability at which a prediction counts as positive
 
 
 @dataclass(frozen=True)
@@ -161,11 +162,10 @@ def evaluate(
     eval_pairs: PairSet,
     mmd_cfg: MmdConfig | None = None,
     background: np.ndarray | None = None,
-    threshold: float = 0.5,
     train_seconds: float = 0.0,
 ) -> FairnessReport:
-    """Accuracy, distributive metrics at the given probability threshold,
-    and both procedural metrics over the evaluation pairs.
+    """Accuracy, distributive metrics at the 0.5 probability threshold, and
+    both procedural metrics over the evaluation pairs.
 
     background holds the rows KernelSHAP marginalizes over (typically a
     sample of the training split); it defaults to the test features.
@@ -173,7 +173,7 @@ def evaluate(
     mmd_cfg = mmd_cfg or MmdConfig()
     t0 = time.perf_counter()
     probs = expit(params.logits(test.features))
-    preds = (probs >= threshold).astype(np.int64)
+    preds = (probs >= _THRESHOLD).astype(np.int64)
 
     accuracy = float((preds == test.labels).mean())
     dp = demographic_parity(preds, test.group)

@@ -1,5 +1,5 @@
-"""Shared plumbing: seed derivation, config hashing, config type checks,
-atomic file writes."""
+"""Shared plumbing: seed derivation, config hashing, record and config
+checks, atomic file writes."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import json
 import numbers
 import os
 import tempfile
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +27,29 @@ def config_hash(obj) -> str:
     """sha256 over the canonical JSON form of a config object."""
     payload = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def reject_unknown_keys(section: str, keys, allowed) -> None:
+    """ValueError naming `section` and every key outside `allowed`."""
+    unknown = sorted(set(keys) - set(allowed))
+    if unknown:
+        raise ValueError(f"unknown {section} key(s): {', '.join(unknown)}")
+
+
+def from_fields(cls, obj, section: str):
+    """cls(**obj) for a record dataclass read from a file.
+
+    A ValueError naming `section` rejects an obj that is not a dict, a key
+    that is not a field of cls, and a missing field that has no default.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError(f"{section} must be a JSON object, got {type(obj).__name__}")
+    reject_unknown_keys(section, obj, [f.name for f in fields(cls)])
+    missing = [f.name for f in fields(cls) if f.default is MISSING
+               and f.default_factory is MISSING and f.name not in obj]
+    if missing:
+        raise ValueError(f"missing {section} key(s): {', '.join(missing)}")
+    return cls(**obj)
 
 
 def check_number(name: str, value, kind: str) -> None:

@@ -120,7 +120,14 @@ def test_scenario_run_unknown_config_key_exit_1(tmp_path, capsys):
                       ("epochs", {"train": {"mode": "bce_only", "epochs": "2"}}),
                       ("n_eval_pairs", {"n_eval_pairs": True}),
                       ("threshold", {"steps": [{"op": "pearson_select",
-                                                "threshold": "0.3"}]})):
+                                                "threshold": "0.3"}]}),
+                      # wrong shape: fails at load time, naming the section
+                      ("dataset must be", {"dataset": "synthetic"}),
+                      ("dataset kind", {"dataset": {"kind": ["synthetic"], "p": 0.65}}),
+                      ("step op", {"steps": [{"op": ["pearson_select"], "threshold": 0.3}]}),
+                      ("steps must be", {"steps": "pearson_select"}),
+                      ("train config must be", {"train": 5}),
+                      ("mmd config must be", {"mmd": [1]})):
         cfg = _write_small_scenario(tmp_path, **over)
         assert main(["scenario", "run", "--config", str(cfg), "--out", out_dir]) == 1
         assert key in capsys.readouterr().err
@@ -129,6 +136,23 @@ def test_scenario_run_unknown_config_key_exit_1(tmp_path, capsys):
                                if k != "scenario_id"}))
     assert main(["scenario", "run", "--config", str(cfg), "--out", out_dir]) == 1
     assert "missing top-level config key(s): scenario_id" in capsys.readouterr().err
+
+
+def test_scenario_compare_malformed_bundle_exit_1(tmp_path, capsys):
+    report = {"repetition": 0, "accuracy": 0.9, "dp": 0.1, "di": 1.0, "eop": 0.1,
+              "eod": 0.1, "gpf_fae": 0.5, "gpf_loss": 0.2}
+    good = {"scenario": {"scenario_id": "a"}, "config_hash": "h", "version": "0",
+            "timestamp": "t", "reports": [report], "errors": [], "aggregate": {}}
+    good_path = tmp_path / "good.json"
+    good_path.write_text(json.dumps(good))
+    bad_path = tmp_path / "bad.json"
+    for named, bad in (("missing bundle key(s): aggregate",
+                        {k: v for k, v in good.items() if k != "aggregate"}),
+                       ("bundle must be a JSON object, got list", [good]),
+                       ("unknown bundle key(s): extra", {**good, "extra": 1})):
+        bad_path.write_text(json.dumps(bad))
+        assert main(["scenario", "compare", str(good_path), str(bad_path)]) == 1
+        assert named in capsys.readouterr().err
 
 
 def test_scenario_run_unknown_or_missing_spec_key_exit_1(tmp_path, capsys):

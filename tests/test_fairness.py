@@ -186,13 +186,13 @@ def test_fairness_report_round_trip(tmp_path):
         di_reason="no positive predictions in disadvantaged group",
     )
     path = tmp_path / "r.json"
-    rep.to_json(path)
+    rep.to_json(path, config_hash="h")
     import json
 
     obj = json.loads(path.read_text())
     assert obj["di"] is None and obj["di_reason"].startswith("no positive")
-    back = FairnessReport.from_dict(obj)
-    assert back.accuracy == rep.accuracy and back.di is None
+    assert obj == {"config_hash": "h", **rep.to_dict()}
+    assert list(obj) == ["config_hash", *rep.to_dict()]
 
 
 @st.composite

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -66,6 +67,8 @@ def test_scenario_config_rejects_unknown_keys():
         del obj[key]
         with pytest.raises(ValueError, match=f"missing top-level config key.*{key}"):
             ScenarioConfig.from_dict(obj)
+    with pytest.raises(ValueError, match="top-level config must be a JSON object, got list"):
+        ScenarioConfig.from_dict([])
     # keys starting with an underscore are comments
     assert small_scenario(_note="free text").repetitions == 2
 
@@ -110,6 +113,22 @@ def test_scenario_config_rejects_wrong_typed_values(field, over):
     # a wrong type fails at load time, naming the field, instead of failing
     # every repetition or running a degenerate evaluation
     with pytest.raises(ValueError, match=rf"\b{field} must be (an integer|a number), got"):
+        small_scenario(**over)
+
+
+@pytest.mark.parametrize("message, over", [
+    ("dataset must be a JSON object, got str", {"dataset": "synthetic"}),
+    ("unknown dataset kind ['synthetic']", {"dataset": {"kind": ["synthetic"], "p": 0.65}}),
+    ("unknown step op ['pearson_select']",
+     {"steps": [{"op": ["pearson_select"], "threshold": 0.3}]}),
+    ("steps must be a JSON list, got str", {"steps": "pearson_select"}),
+    ("train config must be a JSON object, got int", {"train": 5}),
+    ("mmd config must be a JSON object, got list", {"mmd": [1]}),
+])
+def test_scenario_config_rejects_wrong_shaped_sections(message, over):
+    # a section of the wrong JSON shape is a validation error naming it,
+    # not a TypeError from deep inside the loader
+    with pytest.raises(ValueError, match=re.escape(message)):
         small_scenario(**over)
 
 

@@ -14,7 +14,8 @@ from procfair.data import SyntheticConfig, export_schema, generate_synthetic, wr
 from procfair.fairness import FairnessReport
 from procfair.model import mlp_init, save_params
 from procfair.pairing import select_eval_pairs
-from procfair.scenarios import ResultBundle, emit_sensitive_attributions
+from procfair.scenarios import (ResultBundle, ScenarioConfig, emit_sensitive_attributions,
+                                load_preset)
 from procfair.sweeps import write_sweep_csv
 from procfair.train import TrainHistory
 from procfair.util import atomic_write_csv, atomic_write_json
@@ -44,6 +45,21 @@ def _bundle(scenario_id):
     rows = [{"repetition": r, **_report().to_dict()} for r in range(2)]
     return ResultBundle(scenario={"scenario_id": scenario_id}, config_hash="h",
                         version="0", timestamp="t", reports=rows, errors=[], aggregate={})
+
+
+def test_record_field_order_is_the_file_format(tmp_path):
+    # records write their dataclass fields in declaration order, so
+    # reordering a field changes every report, config and bundle file
+    assert list(_report().to_dict()) == [
+        "accuracy", "dp", "di", "di_reason", "eop", "eop_reason", "eod", "eod_reason",
+        "gpf_fae", "gpf_loss", "train_seconds", "eval_seconds"]
+    cfg = ScenarioConfig.from_dict(load_preset("synth065_baseline"))
+    assert list(cfg.to_dict()) == [
+        "scenario_id", "dataset", "steps", "split_ratio", "train", "n_eval_pairs",
+        "background_size", "mmd", "repetitions", "master_seed"]
+    _bundle("a").write(tmp_path / "a.bundle.json")
+    assert list(json.loads((tmp_path / "a.bundle.json").read_text())) == [
+        "scenario", "config_hash", "version", "timestamp", "reports", "errors", "aggregate"]
 
 
 # Each case writes its files into tmp_path and returns (paths, write).
