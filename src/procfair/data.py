@@ -5,12 +5,12 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .util import atomic_write_csv, atomic_write_json
+from .util import atomic_write_csv, atomic_write_json, from_fields
 
 ROLE_FEATURE = "feature"
 ROLE_LABEL = "label"
@@ -54,11 +54,11 @@ class ColumnSchema:
     @classmethod
     def from_json(cls, path: str | Path) -> "ColumnSchema":
         with open(path) as fh:
-            obj = json.load(fh)
-        return cls(roles=dict(obj["roles"]), advantaged=str(obj["advantaged"]))
+            schema = from_fields(cls, json.load(fh), "schema")
+        return replace(schema, advantaged=str(schema.advantaged))
 
     def to_json(self, path: str | Path) -> None:
-        atomic_write_json(path, {"roles": self.roles, "advantaged": self.advantaged}, indent=2)
+        atomic_write_json(path, asdict(self), indent=2)
 
 
 @dataclass

@@ -9,6 +9,7 @@ cross-group explanation pairs (1.0 = fair decision process).
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,9 @@ from .util import atomic_write_json, check_number_fields
 # Statistics at or below this are treated as exactly zero so that identical
 # explanation sets yield p = 1.0 despite float summation noise.
 _STAT_SNAP = 1e-12
+
+# Permutations per GEMM of the permutation test.
+_PERM_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -193,12 +197,36 @@ def mmd(e1, e2, cfg: MmdConfig | None = None) -> float:
     return 0.0 if setup is None else setup[-1]
 
 
+@lru_cache(maxsize=1)
+def _permutation_splits(seed: int, n: int, m: int, n_permutations: int) -> tuple[np.ndarray, ...]:
+    """Random re-splits of a pool of n + m rows into sizes n and m.
+
+    Row i of the plan marks the n rows drawn for the first set. The plan
+    comes in read-only bool chunks of at most _PERM_CHUNK rows, one per
+    GEMM of the permutation test. Each row draws n + m uniforms and takes
+    its n smallest, which is a uniformly random split. One plan is cached:
+    the cells of a sweep row share their seed and set sizes, so they share
+    the plan.
+    """
+    rng = np.random.default_rng(seed)
+    chunks = []
+    for start in range(0, n_permutations, _PERM_CHUNK):
+        u = rng.random((min(_PERM_CHUNK, n_permutations - start), n + m))
+        thr = np.partition(u, n - 1, axis=1)[:, n - 1 : n]
+        U = u <= thr
+        U.flags.writeable = False
+        chunks.append(U)
+    return tuple(chunks)
+
+
 def mmd_permutation_pvalue(e1, e2, cfg: MmdConfig | None = None) -> tuple[float, float]:
     """Permutation-test p-value of the MMD between two explanation sets.
 
     The kernel matrix is computed once on the pooled rows; permutations
-    re-split the pool into the original set sizes. Returns (p, observed)
-    with the +1/+1 estimator, so p lies in [1/(n_perm+1), 1].
+    re-split the pool into the original set sizes. The split plan is drawn
+    once per (seed, n, m, n_permutations) and reused by the next call with
+    the same four values. Returns (p, observed) with the +1/+1 estimator,
+    so p lies in [1/(n_perm+1), 1].
     """
     cfg = cfg or MmdConfig()
     setup = _mmd_setup(e1, e2, cfg)
@@ -207,15 +235,9 @@ def mmd_permutation_pvalue(e1, e2, cfg: MmdConfig | None = None) -> tuple[float,
     K, total, row_sums, n, observed = setup
     m = K.shape[0] - n
 
-    rng = np.random.default_rng(cfg.seed)
     count = 0
-    chunk = 256
-    for start in range(0, cfg.n_permutations, chunk):
-        size = min(chunk, cfg.n_permutations - start)
-        # random splits as 0/1 membership rows; argsort of uniforms = shuffle
-        order = rng.random((size, n + m)).argsort(axis=1)
-        U = np.zeros((size, n + m))
-        np.put_along_axis(U, order[:, :n], 1.0, axis=1)
+    for chunk in _permutation_splits(cfg.seed, n, m, cfg.n_permutations):
+        U = chunk.astype(np.float64)
         q = ((U @ K) * U).sum(axis=1)
         r = U @ row_sums
         stats = q / n**2 + (total - 2.0 * r + q) / m**2 - 2.0 * (r - q) / (n * m)

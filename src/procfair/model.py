@@ -26,7 +26,7 @@ from scipy.special import expit
 
 from .data import Dataset
 from .pairing import PairSet
-from .util import atomic_write_json
+from .util import atomic_write_json, from_fields
 
 _LOG_CLAMP = 1e-12
 MODEL_FORMAT_VERSION = "1"
@@ -103,6 +103,10 @@ class LinearParams:
             raise ValueError("sensitive_index out of range")
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "b", float(self.b))
+
+    @property
+    def input_size(self) -> int:
+        return self.w.shape[0]
 
     def tree(self) -> dict[str, np.ndarray | float]:
         return {"w": self.w, "b": self.b}
@@ -372,7 +376,7 @@ def save_params(params, path: str | Path) -> None:
         obj = {
             "format_version": MODEL_FORMAT_VERSION,
             "kind": "linear",
-            "input_size": int(params.w.shape[0]),
+            "input_size": params.input_size,
             "w": params.w.tolist(),
             "b": params.b,
             "sensitive_index": params.sensitive_index,
@@ -382,17 +386,34 @@ def save_params(params, path: str | Path) -> None:
     atomic_write_json(path, obj)
 
 
+# Per kind: the parameter class, and the size keys a model file holds
+# besides "format_version", "kind" and the class's fields.
+_MODEL_KINDS = {
+    "mlp": (MlpParams, ("input_size", "hidden_size")),
+    "linear": (LinearParams, ("input_size",)),
+}
+
+
 def load_params(path: str | Path):
+    """Read a save_params file. A ValueError names an unknown or missing
+    key, an unknown kind or format version, and a size that disagrees with
+    the weights."""
     with open(path) as fh:
         obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise ValueError(f"model must be a JSON object, got {type(obj).__name__}")
     if obj.get("format_version") != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {obj.get('format_version')!r}")
-    if obj["kind"] == "mlp":
-        return MlpParams(
-            W1=np.array(obj["W1"]), b1=np.array(obj["b1"]), w2=np.array(obj["w2"]), b2=obj["b2"]
-        )
-    if obj["kind"] == "linear":
-        return LinearParams(
-            w=np.array(obj["w"]), b=obj["b"], sensitive_index=obj["sensitive_index"]
-        )
-    raise ValueError(f"unknown model kind {obj['kind']!r}")
+    if obj.get("kind") not in _MODEL_KINDS:
+        raise ValueError(f"unknown model kind {obj.get('kind')!r}")
+    cls, sizes = _MODEL_KINDS[obj["kind"]]
+    missing = [k for k in sizes if k not in obj]
+    if missing:
+        raise ValueError(f"missing model key(s): {', '.join(missing)}")
+    header = ("format_version", "kind", *sizes)
+    params = from_fields(cls, {k: v for k, v in obj.items() if k not in header}, "model")
+    for key in sizes:
+        if obj[key] != getattr(params, key):
+            raise ValueError(f"model {key} {obj[key]!r} does not match the weights "
+                             f"({getattr(params, key)})")
+    return params

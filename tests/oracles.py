@@ -2,8 +2,10 @@
 
 Everything here deliberately avoids the library's analytic code paths:
 finite differences for gradients, subset enumeration for rank-sum,
-direct probability-gradient recomputation for explanation values, and a
-one-row-at-a-time coalition evaluation for KernelSHAP.
+direct probability-gradient recomputation for explanation values, a
+one-row-at-a-time coalition evaluation for KernelSHAP, and, on the
+library's kernel set-up, an argsort split draw made afresh on every call
+for the MMD permutation test.
 """
 
 from __future__ import annotations
@@ -142,3 +144,37 @@ def per_row_coalition_values(predict, X: np.ndarray, background: np.ndarray,
         mixed = np.where(masks[:, None, :], X[r][None, None, :], background[None, :, :])
         out[r] = predict(mixed.reshape(c * b, d)).reshape(c, b).mean(axis=1)
     return out
+
+
+def argsort_splits(seed: int, n: int, m: int, n_permutations: int, chunk: int = 256) -> list:
+    """Permutation-test split plan as 0/1 float rows in chunks of `chunk`:
+    each row's n smallest uniforms, found by a full argsort."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for start in range(0, n_permutations, chunk):
+        size = min(chunk, n_permutations - start)
+        order = rng.random((size, n + m)).argsort(axis=1)
+        U = np.zeros((size, n + m))
+        np.put_along_axis(U, order[:, :n], 1.0, axis=1)
+        out.append(U)
+    return out
+
+
+def per_call_pvalue(e1, e2, cfg) -> tuple[float, float]:
+    """MMD permutation-test (p, observed), drawing its splits afresh with
+    argsort_splits on every call."""
+    from procfair.fairness import _STAT_SNAP, _mmd_setup
+
+    setup = _mmd_setup(e1, e2, cfg)
+    if setup is None:
+        return 1.0, 0.0
+    K, total, row_sums, n, observed = setup
+    m = K.shape[0] - n
+    count = 0
+    for U in argsort_splits(cfg.seed, n, m, cfg.n_permutations):
+        q = ((U @ K) * U).sum(axis=1)
+        r = U @ row_sums
+        stats = q / n**2 + (total - 2.0 * r + q) / m**2 - 2.0 * (r - q) / (n * m)
+        stats[stats <= _STAT_SNAP] = 0.0
+        count += int((stats >= observed).sum())
+    return (1 + count) / (1 + cfg.n_permutations), observed

@@ -2,6 +2,7 @@ import json
 
 from procfair.cli import main
 from procfair.data import ColumnSchema, load_csv, preprocess
+from procfair.model import mlp_init, save_params
 
 
 def _write_small_scenario(tmp_path, **over):
@@ -104,6 +105,16 @@ def test_train_then_evaluate(tmp_path):
     # same split and pairs: evaluation reproduces the training-run metrics
     assert rep2["accuracy"] == report["accuracy"]
     assert rep2["gpf_fae"] == report["gpf_fae"]
+
+
+def test_evaluate_model_with_unknown_key_exit_1(tmp_path, capsys):
+    cfg = _write_small_scenario(tmp_path)
+    model = tmp_path / "model.json"
+    save_params(mlp_init(4, 8, seed=0), model)
+    model.write_text(json.dumps({**json.loads(model.read_text()), "hiden_size": 8}))
+    assert main(["evaluate", "--model", str(model), "--config", str(cfg),
+                 "--out", str(tmp_path / "eval")]) == 1
+    assert "unknown model key(s): hiden_size" in capsys.readouterr().err
 
 
 def test_scenario_run_unknown_config_key_exit_1(tmp_path, capsys):

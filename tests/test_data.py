@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,30 @@ def test_schema_validation():
         ColumnSchema(roles={"a": "feature"}, advantaged="1")
     with pytest.raises(ValueError, match="unknown column roles"):
         ColumnSchema(roles={"y": "label", "s": "sensitive", "a": "bogus"}, advantaged="1")
+
+
+def _schema_file(tmp_path, obj):
+    path = tmp_path / "d.schema.json"
+    path.write_text(json.dumps(obj))
+    return path
+
+
+def test_schema_from_json_coerces_advantaged_to_str(tmp_path):
+    roles = {"x": "feature", "y": "label", "s": "sensitive"}
+    schema = ColumnSchema.from_json(_schema_file(tmp_path, {"roles": roles, "advantaged": 1}))
+    assert schema == ColumnSchema(roles=roles, advantaged="1")
+
+
+def test_schema_from_json_rejects_misspelled_key(tmp_path):
+    obj = {"roles": {"y": "label", "s": "sensitive"}, "advantaged": "1", "advantged": "0"}
+    with pytest.raises(ValueError, match="unknown schema key\\(s\\): advantged"):
+        ColumnSchema.from_json(_schema_file(tmp_path, obj))
+
+
+def test_schema_from_json_rejects_missing_key(tmp_path):
+    obj = {"roles": {"y": "label", "s": "sensitive"}}
+    with pytest.raises(ValueError, match="missing schema key\\(s\\): advantaged"):
+        ColumnSchema.from_json(_schema_file(tmp_path, obj))
 
 
 def test_preprocess_categorical_first_appearance_order(tmp_path):

@@ -4,9 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from oracles import argsort_splits, per_call_pvalue
 from procfair.fairness import (
     FairnessReport,
     MmdConfig,
+    _permutation_splits,
     demographic_parity,
     disparate_impact,
     equal_opportunity,
@@ -145,6 +147,54 @@ def test_permutation_pvalue_identical_sets_exactly_one():
     p, obs = mmd_permutation_pvalue(e, e.copy(), MmdConfig(n_permutations=200, seed=1))
     assert p == 1.0
     assert obs == 0.0
+
+
+def test_permutation_pvalue_all_identical_points_early_return():
+    cfg = MmdConfig(n_permutations=100, seed=4)
+    assert mmd_permutation_pvalue(np.ones((7, 2)), np.ones((3, 2)), cfg) == (1.0, 0.0)
+
+
+@pytest.mark.parametrize("n_perm", [1000, 300])
+@pytest.mark.parametrize("n, m", [(100, 100), (20, 20), (37, 120), (150, 40), (1, 5)])
+def test_permutation_splits_match_argsort_draw(n, m, n_perm):
+    for seed in range(5):
+        plan = _permutation_splits.__wrapped__(seed, n, m, n_perm)
+        oracle = argsort_splits(seed, n, m, n_perm)
+        assert len(plan) == len(oracle)
+        for U, O in zip(plan, oracle):
+            assert U.dtype == bool and U.shape == O.shape and U.shape[0] <= 256
+            np.testing.assert_array_equal(U, O == 1.0)
+
+
+@pytest.mark.parametrize("kernel", ["exponential", "gaussian"])
+def test_permutation_pvalue_bit_identical_to_per_call_draw(kernel):
+    rng = np.random.default_rng(11)
+    for n, m, n_perm, shift in ((40, 25, 300, 0.0), (13, 50, 1000, 0.4), (60, 61, 257, 0.2)):
+        e1 = rng.normal(size=(n, 3)) + shift
+        e2 = rng.normal(size=(m, 3))
+        cfg = MmdConfig(kernel=kernel, n_permutations=n_perm, seed=int(rng.integers(1000)))
+        assert mmd_permutation_pvalue(e1, e2, cfg) == per_call_pvalue(e1, e2, cfg)
+
+
+def test_permutation_plan_cached_per_seed_and_read_only():
+    rng = np.random.default_rng(12)
+    e1, e2 = rng.normal(size=(30, 2)), rng.normal(size=(45, 2)) + 0.3
+    cfg = MmdConfig(n_permutations=300, seed=5)
+    _permutation_splits.cache_clear()
+    first = mmd_permutation_pvalue(e1, e2, cfg)
+    plan = _permutation_splits(5, 30, 45, 300)
+    assert mmd_permutation_pvalue(e1, e2, cfg) == first == per_call_pvalue(e1, e2, cfg)
+    info = _permutation_splits.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    assert _permutation_splits(5, 30, 45, 300) is plan
+    with pytest.raises(ValueError):
+        plan[0][0, 0] = not plan[0][0, 0]
+    other = MmdConfig(n_permutations=300, seed=6)
+    cached_then_new = mmd_permutation_pvalue(e1, e2, other)
+    assert _permutation_splits.cache_info().currsize == 1  # one plan held, not one per seed
+    _permutation_splits.cache_clear()
+    assert cached_then_new == mmd_permutation_pvalue(e1, e2, other)
+    assert cached_then_new == per_call_pvalue(e1, e2, other)
 
 
 def test_permutation_pvalue_range_and_power():

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -283,3 +285,47 @@ def test_params_json_round_trip(tmp_path):
     back_lin = load_params(tmp_path / "l.json")
     np.testing.assert_array_equal(lin.w, back_lin.w)
     assert back_lin.sensitive_index == 1
+
+
+def _saved(tmp_path, params) -> dict:
+    save_params(params, tmp_path / "m.json")
+    return json.loads((tmp_path / "m.json").read_text())
+
+
+def _load(tmp_path, obj):
+    (tmp_path / "m.json").write_text(json.dumps(obj))
+    return load_params(tmp_path / "m.json")
+
+
+@pytest.mark.parametrize("params", [
+    mlp_init(3, 4, seed=1),
+    LinearParams(w=np.array([1.0, -2.0, 0.5]), b=0.25, sensitive_index=2),
+], ids=["mlp", "linear"])
+def test_load_params_rejects_unknown_and_missing_keys(tmp_path, params):
+    obj = _saved(tmp_path, params)
+    with pytest.raises(ValueError, match="unknown model key\\(s\\): extra"):
+        _load(tmp_path, {**obj, "extra": 5})
+    for key in obj:
+        if key in ("format_version", "kind"):
+            continue  # a missing version or kind is reported as unsupported
+        with pytest.raises(ValueError, match=f"missing model key\\(s\\): {key}$"):
+            _load(tmp_path, {k: v for k, v in obj.items() if k != key})
+    with pytest.raises(ValueError, match="unsupported model format version None"):
+        _load(tmp_path, {k: v for k, v in obj.items() if k != "format_version"})
+    with pytest.raises(ValueError, match="unknown model kind None"):
+        _load(tmp_path, {k: v for k, v in obj.items() if k != "kind"})
+
+
+def test_load_params_rejects_keys_of_the_other_kind_and_wrong_sizes(tmp_path):
+    obj = _saved(tmp_path, mlp_init(3, 4, seed=1))
+    with pytest.raises(ValueError, match="unknown model key\\(s\\): sensitive_index"):
+        _load(tmp_path, {**obj, "sensitive_index": 0})
+    with pytest.raises(ValueError, match="model hidden_size 5 does not match"):
+        _load(tmp_path, {**obj, "hidden_size": 5})
+    with pytest.raises(ValueError, match="model input_size 2 does not match"):
+        _load(tmp_path, {**obj, "input_size": 2})
+    lin = _saved(tmp_path, LinearParams(w=np.array([1.0, -2.0]), b=0.0, sensitive_index=1))
+    with pytest.raises(ValueError, match="unknown model key\\(s\\): hidden_size"):
+        _load(tmp_path, {**lin, "hidden_size": 4})
+    with pytest.raises(ValueError, match="must be a JSON object"):
+        _load(tmp_path, [lin])

@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from procfair.cli import main
 from procfair.data import SyntheticConfig, dataset_dp, generate_synthetic, pearson_select
 from procfair.explain import kernel_shap_batch
 from procfair.model import LinearParams, override_sensitive_weight
@@ -170,3 +173,16 @@ def test_identical_explanations_give_pvalue_one():
     phi, _ = kernel_shap_batch(params.logits, both, feats)
     p, _ = mmd_permutation_pvalue(phi[:30], phi[30:], MmdConfig(n_permutations=150, seed=0))
     assert p == 1.0
+
+
+# sha256 of the whole CSV, hash line included, as the command below writes
+# it. A change to sweeps, training or evaluation that is meant to keep every
+# output bit-identical must keep these bytes.
+GOLDEN_GRID_SHA256 = "57169a8418e3bfb2294a00acdfe1dbd915660ce11d320e0ec954bbb0f8e6d191"
+
+
+def test_sweep_grid_csv_bytes_pinned(tmp_path):
+    out = tmp_path / "grid.csv"
+    assert main(["sweep", "grid", "--p", "0.5:0.65:2", "--ws", "-5:5:3", "--n", "800",
+                 "--epochs", "30", "--perms", "100", "--seed", "0", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_GRID_SHA256
