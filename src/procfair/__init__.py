@@ -31,9 +31,7 @@ from .model import (
     adam_step,
     bce_loss_grads,
     gpf_loss_grads,
-    input_gradient,
     linear_train,
-    mlp_forward,
     mlp_init,
     override_sensitive_weight,
 )
@@ -47,9 +45,8 @@ from .fairness import (
     equalized_odds,
     gpf_fae,
     gpf_loss,
-    mmd,
 )
-from .train import TrainConfig, TrainHistory, dp_proxy_grads, evaluate, train, train_inverse
+from .train import TrainConfig, TrainHistory, dp_proxy_grads, evaluate, train
 from .sweeps import SweepSettings, p_sweep, sweep_p_ws, sweep_ws
 from .scenarios import (
     ResultBundle,

@@ -52,6 +52,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse type of every --seed and --rep."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _parse_range(text: str) -> tuple[float, float, int]:
     """Parse 'lo:hi:count' grid specs."""
     parts = text.split(":")
@@ -241,15 +248,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", parents=[], help="generate a synthetic dataset CSV")
     p.add_argument("--p", type=float, required=True, help="group-bias parameter in [0,1]")
     p.add_argument("--n", type=int, default=20000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("train", help="train one model from a scenario config")
     p.add_argument("--config", help="scenario config JSON")
     p.add_argument("--preset", help="built-in preset name")
-    p.add_argument("--seed", type=int, help="override the config master seed")
-    p.add_argument("--rep", type=int, default=0, help="repetition index to run")
+    p.add_argument("--seed", type=_non_negative_int, help="override the config master seed")
+    p.add_argument("--rep", type=_non_negative_int, default=0, help="repetition index to run")
     p.add_argument("--out", help="output directory (default: $PROCFAIR_OUT)")
     p.set_defaults(func=_cmd_train)
 
@@ -257,8 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="model JSON path")
     p.add_argument("--config", help="scenario config JSON")
     p.add_argument("--preset", help="built-in preset name")
-    p.add_argument("--seed", type=int, help="override the config master seed")
-    p.add_argument("--rep", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, help="override the config master seed")
+    p.add_argument("--rep", type=_non_negative_int, default=0)
     p.add_argument("--out", help="output directory (default: $PROCFAIR_OUT)")
     p.set_defaults(func=_cmd_evaluate)
 
@@ -269,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", help="built-in preset name")
     p.add_argument("--out", help="output directory (default: $PROCFAIR_OUT)")
     p.add_argument("--reps", type=int, help="override repetition count")
-    p.add_argument("--seed", type=int, help="override master seed")
+    p.add_argument("--seed", type=_non_negative_int, help="override master seed")
     p.add_argument("--force", action="store_true",
                    help="overwrite an existing bundle in the output directory")
     p.set_defaults(func=_cmd_scenario_run)
@@ -285,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def _common_sweep_flags(sp, pearson: bool = True):
         sp.add_argument("--n", type=int, default=20000, help="synthetic points per dataset")
-        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--seed", type=_non_negative_int, default=0)
         if pearson:  # only the logistic-model sweeps select features
             sp.add_argument("--pearson", type=float, default=0.30,
                             help="feature-selection threshold")
@@ -317,8 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="scenario config JSON")
     p.add_argument("--preset", help="built-in preset name")
     p.add_argument("--model", help="saved model JSON (default: train per config)")
-    p.add_argument("--rep", type=int, default=0)
-    p.add_argument("--seed", type=int, help="override master seed")
+    p.add_argument("--rep", type=_non_negative_int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, help="override master seed")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_explain_dump)
 

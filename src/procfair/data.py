@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .fairness import demographic_parity
 from .util import atomic_write_csv, atomic_write_json, from_fields
 
 ROLE_FEATURE = "feature"
@@ -328,17 +329,9 @@ def split(data: Dataset, ratio: float, seed: int) -> tuple[Dataset, Dataset]:
     return data.subset(first), data.subset(second)
 
 
-def _group_positive_rates(labels: np.ndarray, group: np.ndarray) -> tuple[float, float]:
-    adv = group == 1
-    if not adv.any() or adv.all():
-        raise ValueError("both groups must be non-empty")
-    return float(labels[adv].mean()), float(labels[~adv].mean())
-
-
 def dataset_dp(data: Dataset) -> float:
     """|P(y=1 | s1) - P(y=1 | s2)| computed on the labels, not predictions."""
-    r1, r2 = _group_positive_rates(data.labels, data.group)
-    return abs(r1 - r2)
+    return demographic_parity(data.labels, data.group)
 
 
 def resample_unfair(data: Dataset, dp_threshold: float, seed: int) -> Dataset:

@@ -186,17 +186,6 @@ def _mmd_setup(e1, e2, cfg: MmdConfig):
     return K, total, row_sums, n, _mmd_from_indicator(K, total, row_sums, in_a)
 
 
-def mmd(e1, e2, cfg: MmdConfig | None = None) -> float:
-    """Biased-estimator squared MMD between two explanation sets.
-
-    Exponential kernel k(a, b) = exp(-||a-b||_2 / sigma) by default, with
-    the bandwidth from the median heuristic over the pooled set. Returns 0
-    when every pooled point is identical.
-    """
-    setup = _mmd_setup(e1, e2, cfg or MmdConfig())
-    return 0.0 if setup is None else setup[-1]
-
-
 @lru_cache(maxsize=1)
 def _permutation_splits(seed: int, n: int, m: int, n_permutations: int) -> tuple[np.ndarray, ...]:
     """Random re-splits of a pool of n + m rows into sizes n and m.
@@ -246,26 +235,17 @@ def mmd_permutation_pvalue(e1, e2, cfg: MmdConfig | None = None) -> tuple[float,
     return (1 + count) / (1 + cfg.n_permutations), observed
 
 
-def gpf_fae(
-    params,
-    features: np.ndarray,
-    eval_pairs,
-    cfg: MmdConfig | None = None,
-    background: np.ndarray | None = None,
-    budget: int | str | None = None,
-) -> float:
+def gpf_fae(params, features: np.ndarray, eval_pairs, cfg: MmdConfig,
+            background: np.ndarray) -> float:
     """Procedural-fairness p-value of a model over matched pairs.
 
     KernelSHAP explanations (at the logit) are computed for both sides of
     the pairs; the permutation test compares their distributions. Closer to
     1.0 means the decision process treats matched cross-group points alike.
     """
-    cfg = cfg or MmdConfig()
     feats = np.asarray(features, dtype=np.float64)
-    if background is None:
-        background = feats
     predict = params.logits
-    phi1, _ = kernel_shap_batch(predict, feats[eval_pairs.idx1], background, budget, cfg.seed)
-    phi2, _ = kernel_shap_batch(predict, feats[eval_pairs.idx2], background, budget, cfg.seed)
+    phi1, _ = kernel_shap_batch(predict, feats[eval_pairs.idx1], background, seed=cfg.seed)
+    phi2, _ = kernel_shap_batch(predict, feats[eval_pairs.idx2], background, seed=cfg.seed)
     p, _ = mmd_permutation_pvalue(phi1, phi2, cfg)
     return p

@@ -17,7 +17,7 @@ so the gradient oracles check the code that trains.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -66,9 +66,6 @@ class MlpParams:
     def tree(self) -> dict[str, np.ndarray | float]:
         return {"W1": self.W1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
 
-    def from_tree(self, t: dict) -> "MlpParams":
-        return MlpParams(W1=t["W1"], b1=t["b1"], w2=t["w2"], b2=float(t["b2"]))
-
     def logits(self, X: np.ndarray) -> np.ndarray:
         """Pre-sigmoid logit of every row of X."""
         return np.maximum(X @ self.W1.T + self.b1, 0.0) @ self.w2 + self.b2
@@ -111,9 +108,6 @@ class LinearParams:
     def tree(self) -> dict[str, np.ndarray | float]:
         return {"w": self.w, "b": self.b}
 
-    def from_tree(self, t: dict) -> "LinearParams":
-        return LinearParams(w=t["w"], b=float(t["b"]), sensitive_index=self.sensitive_index)
-
     def logits(self, X: np.ndarray) -> np.ndarray:
         return X @ self.w + self.b
 
@@ -155,26 +149,10 @@ def mlp_init(d: int, h: int, seed: int) -> MlpParams:
 mlp_logits = MlpParams.logits  # function form, as perfbench's probes call it
 
 
-def mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[float, float]:
-    """Single-sample forward: (logit, sigmoid probability)."""
-    z = float(params.logits(np.asarray(x, dtype=np.float64)[None, :])[0])
-    return z, float(expit(z))
-
-
-def input_gradient(params: MlpParams, x: np.ndarray) -> np.ndarray:
-    """Gradient of the pre-sigmoid logit w.r.t. the input.
-
-    ReLU uses the 1[z > 0] convention, so a unit sitting exactly at zero
-    pre-activation contributes nothing.
-    """
-    return input_gradients(params, np.asarray(x, dtype=np.float64)[None, :])[0]
-
-
-def input_gradients(params: MlpParams, X: np.ndarray) -> np.ndarray:
-    return _logit_input_grads(params, X @ params.W1.T + params.b1 > 0.0)
-
-
 def _logit_input_grads(params: MlpParams, mask: np.ndarray) -> np.ndarray:
+    """Gradient of the pre-sigmoid logit w.r.t. the input, given the ReLU
+    gate. The gate is 1[pre-activation > 0], so a unit sitting exactly at
+    zero contributes nothing."""
     return (mask * params.w2) @ params.W1
 
 
@@ -321,7 +299,7 @@ def adam_step(state: AdamState, params, grads: dict, lr: float):
         new_tree[key] = theta - lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
         new_m[key] = m
         new_v[key] = v
-    return params.from_tree(new_tree), AdamState(m=new_m, v=new_v, step=t)
+    return replace(params, **new_tree), AdamState(m=new_m, v=new_v, step=t)
 
 
 def linear_init(d: int, sensitive_index: int, seed: int) -> LinearParams:
@@ -359,39 +337,25 @@ def override_sensitive_weight(params: LinearParams, w_s: float) -> LinearParams:
     return replace(params, w=w)
 
 
-def save_params(params, path: str | Path) -> None:
-    """JSON serialization with explicit shapes and row-major weights."""
-    if isinstance(params, MlpParams):
-        obj = {
-            "format_version": MODEL_FORMAT_VERSION,
-            "kind": "mlp",
-            "input_size": params.input_size,
-            "hidden_size": params.hidden_size,
-            "W1": params.W1.tolist(),
-            "b1": params.b1.tolist(),
-            "w2": params.w2.tolist(),
-            "b2": params.b2,
-        }
-    elif isinstance(params, LinearParams):
-        obj = {
-            "format_version": MODEL_FORMAT_VERSION,
-            "kind": "linear",
-            "input_size": params.input_size,
-            "w": params.w.tolist(),
-            "b": params.b,
-            "sensitive_index": params.sensitive_index,
-        }
-    else:
-        raise TypeError(f"unsupported parameter type: {type(params)!r}")
-    atomic_write_json(path, obj)
-
-
 # Per kind: the parameter class, and the size keys a model file holds
-# besides "format_version", "kind" and the class's fields.
+# besides "format_version", "kind" and the class's fields. A file holds
+# those keys in that order: the header, the sizes, then the fields.
 _MODEL_KINDS = {
     "mlp": (MlpParams, ("input_size", "hidden_size")),
     "linear": (LinearParams, ("input_size",)),
 }
+
+
+def save_params(params, path: str | Path) -> None:
+    """JSON serialization with explicit shapes and row-major weights."""
+    kind = next((k for k, (cls, _) in _MODEL_KINDS.items() if type(params) is cls), None)
+    if kind is None:
+        raise TypeError(f"unsupported parameter type: {type(params)!r}")
+    obj = {"format_version": MODEL_FORMAT_VERSION, "kind": kind}
+    for key in (*_MODEL_KINDS[kind][1], *(f.name for f in fields(params))):
+        value = getattr(params, key)
+        obj[key] = value.tolist() if isinstance(value, np.ndarray) else value
+    atomic_write_json(path, obj)
 
 
 def load_params(path: str | Path):

@@ -345,6 +345,10 @@ def compare_scenarios(
     Every bundle must carry the same repetition count; metrics undefined in
     any repetition are reported with p = None.
     """
+    if metric and metric not in _METRIC_FIELDS:
+        raise ValueError(f"unknown metric {metric!r}; expected one of {list(_METRIC_FIELDS)}")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
     if len(bundles) < 2:
         raise ValueError("need at least two bundles to compare")
     counts = {len(b.reports) for b in bundles}
@@ -385,19 +389,17 @@ def emit_sensitive_attributions(
     data: Dataset,
     eval_pairs: PairSet,
     out: str | Path,
-    background: np.ndarray | None = None,
-    seed: int = 0,
+    background: np.ndarray,
     cfg_hash: str | None = None,
 ) -> dict:
-    """Dump per-point sensitive-attribute SHAP values for the paired rows.
+    """Dump per-point sensitive-attribute SHAP values for the paired rows,
+    explained against the background rows.
 
     Writes (row_ref, group, shap_sensitive) for X'1 union X'2 plus summary
     rows with each group's mean; returns the summary statistics.
     """
     if data.sensitive_col is None:
         raise ValueError("dataset has no sensitive column to explain")
-    if background is None:
-        background = sample_background(data, 100, seed)
     refs = np.concatenate([eval_pairs.idx1, eval_pairs.idx2])
     rows = data.features[refs]
     group = np.concatenate([np.ones(len(eval_pairs), dtype=np.int8),

@@ -10,7 +10,7 @@ surrogate (dp_regularized).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -148,29 +148,20 @@ def train(data: Dataset, cfg: TrainConfig) -> tuple[MlpParams, TrainHistory]:
     return params, history
 
 
-def train_inverse(data: Dataset, cfg: TrainConfig) -> tuple[MlpParams, TrainHistory]:
-    """Procedural training with alpha < 0: maximizes the attribution gap to
-    produce a procedurally unfair model. Rejects alpha >= 0 (including -0.0)."""
-    if not cfg.alpha < 0:
-        raise ValueError("train_inverse requires alpha strictly below 0")
-    return train(data, replace(cfg, mode="procedural"))
-
-
 def evaluate(
     params,
     test: Dataset,
     eval_pairs: PairSet,
-    mmd_cfg: MmdConfig | None = None,
-    background: np.ndarray | None = None,
+    mmd_cfg: MmdConfig,
+    background: np.ndarray,
     train_seconds: float = 0.0,
 ) -> FairnessReport:
     """Accuracy, distributive metrics at the 0.5 probability threshold, and
     both procedural metrics over the evaluation pairs.
 
-    background holds the rows KernelSHAP marginalizes over (typically a
-    sample of the training split); it defaults to the test features.
+    background holds the rows KernelSHAP marginalizes over, a sample of
+    the training split.
     """
-    mmd_cfg = mmd_cfg or MmdConfig()
     t0 = time.perf_counter()
     probs = expit(params.logits(test.features))
     preds = (probs >= _THRESHOLD).astype(np.int64)
@@ -184,7 +175,7 @@ def evaluate(
     e1 = params.prob_grads(test.features[eval_pairs.idx1])
     e2 = params.prob_grads(test.features[eval_pairs.idx2])
     loss = gpf_loss(e1, e2)
-    pval = gpf_fae(params, test.features, eval_pairs, mmd_cfg, background=background)
+    pval = gpf_fae(params, test.features, eval_pairs, mmd_cfg, background)
 
     return FairnessReport(
         accuracy=accuracy,

@@ -10,6 +10,7 @@ for the MMD permutation test.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -23,17 +24,17 @@ def finite_diff_grads(loss_fn, params: MlpParams, eps: float = 1e-5) -> dict:
     out: dict = {}
     for key, val in tree.items():
         if np.isscalar(val):
-            hi = loss_fn(params.from_tree({**tree, key: val + eps}))
-            lo = loss_fn(params.from_tree({**tree, key: val - eps}))
+            hi = loss_fn(replace(params, **{key: val + eps}))
+            lo = loss_fn(replace(params, **{key: val - eps}))
             out[key] = (hi - lo) / (2 * eps)
             continue
         g = np.zeros_like(val)
         for idx in np.ndindex(val.shape):
             bumped = val.copy()
             bumped[idx] = val[idx] + eps
-            hi = loss_fn(params.from_tree({**tree, key: bumped}))
+            hi = loss_fn(replace(params, **{key: bumped}))
             bumped[idx] = val[idx] - eps
-            lo = loss_fn(params.from_tree({**tree, key: bumped}))
+            lo = loss_fn(replace(params, **{key: bumped}))
             g[idx] = (hi - lo) / (2 * eps)
         out[key] = g
     return out

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from procfair.cli import main
 from procfair.data import ColumnSchema, load_csv, preprocess
 from procfair.model import mlp_init, save_params
@@ -41,6 +43,27 @@ def test_generate_writes_csv_and_schema(tmp_path, capsys):
 
 def test_generate_validation_error_exit_1(tmp_path):
     assert main(["generate", "--p", "1.5", "--out", str(tmp_path / "x.csv")]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--p", "0.5", "--seed", "-1"],
+    ["train", "--preset", "synth065_baseline", "--seed", "-1"],
+    ["train", "--preset", "synth065_baseline", "--rep", "-3"],
+    ["evaluate", "--model", "m.json", "--preset", "synth065_baseline", "--rep", "-3"],
+    ["scenario", "run", "--preset", "synth065_baseline", "--seed", "-1"],
+    ["sweep", "ws", "--seed", "-1"],
+    ["sweep", "p", "--seed", "-1"],
+    ["sweep", "grid", "--seed", "-1"],
+    ["explain", "dump", "--preset", "synth065_baseline", "--rep", "-3"],
+    ["explain", "dump", "--preset", "synth065_baseline", "--seed", "1.5"],
+], ids=lambda argv: " ".join([w for w in argv if w.isalpha()] + argv[-2:]))
+def test_negative_seed_or_rep_exit_1(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 1
+    flag, value = argv[-2:]
+    assert f"argument {flag}: expected a non-negative integer, got '{value}'" in \
+        capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unknown_subcommand_and_flag_exit_1(capsys):
@@ -149,11 +172,15 @@ def test_scenario_run_unknown_config_key_exit_1(tmp_path, capsys):
     assert "missing top-level config key(s): scenario_id" in capsys.readouterr().err
 
 
-def test_scenario_compare_malformed_bundle_exit_1(tmp_path, capsys):
+def _bundle_obj(scenario_id):
     report = {"repetition": 0, "accuracy": 0.9, "dp": 0.1, "di": 1.0, "eop": 0.1,
               "eod": 0.1, "gpf_fae": 0.5, "gpf_loss": 0.2}
-    good = {"scenario": {"scenario_id": "a"}, "config_hash": "h", "version": "0",
+    return {"scenario": {"scenario_id": scenario_id}, "config_hash": "h", "version": "0",
             "timestamp": "t", "reports": [report], "errors": [], "aggregate": {}}
+
+
+def test_scenario_compare_malformed_bundle_exit_1(tmp_path, capsys):
+    good = _bundle_obj("a")
     good_path = tmp_path / "good.json"
     good_path.write_text(json.dumps(good))
     bad_path = tmp_path / "bad.json"
@@ -164,6 +191,17 @@ def test_scenario_compare_malformed_bundle_exit_1(tmp_path, capsys):
         bad_path.write_text(json.dumps(bad))
         assert main(["scenario", "compare", str(good_path), str(bad_path)]) == 1
         assert named in capsys.readouterr().err
+
+
+def test_scenario_compare_bad_metric_or_alpha_exit_1(tmp_path, capsys):
+    paths = []
+    for sid in ("a", "b"):
+        paths.append(str(tmp_path / f"{sid}.json"))
+        (tmp_path / f"{sid}.json").write_text(json.dumps(_bundle_obj(sid)))
+    assert main(["scenario", "compare", *paths, "--metric", "foo"]) == 1
+    assert "unknown metric 'foo'; expected one of ['accuracy'," in capsys.readouterr().err
+    assert main(["scenario", "compare", *paths, "--alpha", "7"]) == 1
+    assert "alpha must be in (0, 1), got 7.0" in capsys.readouterr().err
 
 
 def test_scenario_run_unknown_or_missing_spec_key_exit_1(tmp_path, capsys):

@@ -1,44 +1,30 @@
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from oracles import per_row_coalition_values, random_mlp
 from procfair import explain
 from procfair.explain import exact_shapley, kernel_shap, kernel_shap_batch
-from procfair.model import (
-    LinearParams,
-    MlpParams,
-    input_gradient,
-    input_gradients,
-    mlp_init,
-    mlp_logits,
-)
+from procfair.model import LinearParams, MlpParams, mlp_init, mlp_logits
 
 
 def _linear_predict(w, b=0.0):
     return lambda X: np.atleast_2d(X) @ w + b
 
 
-def test_grad_explanations_delegate_to_input_gradient():
-    # batch gradient explanations equal the single-row input_gradient
-    params = mlp_init(3, 5, seed=1)
-    rows = np.random.default_rng(0).normal(size=(6, 3))
-    batch = input_gradients(params, rows)
-    assert batch.shape == (6, 3)
-    for r in range(6):
-        np.testing.assert_allclose(batch[r], input_gradient(params, rows[r]), rtol=1e-13)
-
-
 def test_grad_explanations_zero_network():
     params = MlpParams(W1=np.zeros((4, 3)), b1=np.zeros(4), w2=np.zeros(4), b2=1.0)
-    assert (input_gradients(params, np.ones((5, 3))) == 0).all()
+    assert (params.prob_grads(np.ones((5, 3))) == 0).all()
 
 
 def test_grad_explanations_linear_network():
-    # every unit stays in its linear region, so the gradient is w everywhere
+    # every unit stays in its linear region, so the logit gradient is w
+    # everywhere and the probability gradient is sigma'(logit) * w
     w = np.array([1.5, -2.5])
-    params = MlpParams(W1=np.eye(2), b1=np.full(2, 100.0), w2=w, b2=0.0)
-    grads = input_gradients(params, np.random.default_rng(1).normal(size=(4, 2)))
-    np.testing.assert_array_equal(grads, np.tile(w, (4, 1)))
+    params = MlpParams(W1=np.eye(2), b1=np.full(2, 100.0), w2=w, b2=100.0)  # logit = w . x
+    X = np.random.default_rng(1).normal(size=(4, 2))
+    p = expit(X @ w)
+    np.testing.assert_allclose(params.prob_grads(X), (p * (1 - p))[:, None] * w, rtol=1e-12)
 
 
 def test_kernel_shap_linear_closed_form():

@@ -14,7 +14,6 @@ from procfair.fairness import (
     equal_opportunity,
     equalized_odds,
     gpf_loss,
-    mmd,
     mmd_permutation_pvalue,
 )
 
@@ -103,17 +102,19 @@ def test_gpf_loss_values():
 def test_mmd_identical_multisets_is_zero():
     rng = np.random.default_rng(3)
     e = rng.normal(size=(20, 4))
-    assert mmd(e, e.copy()) <= 1e-12
+    assert mmd_permutation_pvalue(e, e.copy())[1] <= 1e-12
 
 
 def test_mmd_singleton_closed_form():
     a = np.array([[0.0, 0.0]])
     b = np.array([[3.0, 4.0]])  # distance 5
     cfg = MmdConfig(bandwidth=5.0, n_permutations=100)
-    assert mmd(a, b, cfg) == pytest.approx(2.0 - 2.0 * np.exp(-1.0), abs=1e-12)
+    observed = mmd_permutation_pvalue(a, b, cfg)[1]
+    assert observed == pytest.approx(2.0 - 2.0 * np.exp(-1.0), abs=1e-12)
     # gaussian kernel variant: exp(-r^2 / (2 sigma^2)) with r = sigma
     cfg_g = MmdConfig(kernel="gaussian", bandwidth=5.0, n_permutations=100)
-    assert mmd(a, b, cfg_g) == pytest.approx(2.0 - 2.0 * np.exp(-0.5), abs=1e-12)
+    observed = mmd_permutation_pvalue(a, b, cfg_g)[1]
+    assert observed == pytest.approx(2.0 - 2.0 * np.exp(-0.5), abs=1e-12)
 
 
 def test_mmd_symmetry_and_within_set_permutation_invariance():
@@ -121,9 +122,10 @@ def test_mmd_symmetry_and_within_set_permutation_invariance():
     e1 = rng.normal(size=(15, 3))
     e2 = rng.normal(size=(11, 3)) + 0.5
     cfg = MmdConfig(bandwidth=2.0)
-    assert mmd(e1, e2, cfg) == pytest.approx(mmd(e2, e1, cfg), abs=1e-15)
+    observed = mmd_permutation_pvalue(e1, e2, cfg)[1]
+    assert observed == pytest.approx(mmd_permutation_pvalue(e2, e1, cfg)[1], abs=1e-15)
     perm = rng.permutation(15)
-    assert mmd(e1[perm], e2, cfg) == pytest.approx(mmd(e1, e2, cfg), abs=1e-12)
+    assert mmd_permutation_pvalue(e1[perm], e2, cfg)[1] == pytest.approx(observed, abs=1e-12)
 
 
 def test_mmd_shrinks_for_same_distribution_samples():
@@ -132,13 +134,13 @@ def test_mmd_shrinks_for_same_distribution_samples():
     for n in (40, 400):
         e1 = rng.normal(size=(n, 3))
         e2 = rng.normal(size=(n, 3))
-        vals[n] = mmd(e1, e2, MmdConfig(bandwidth=2.0))
+        vals[n] = mmd_permutation_pvalue(e1, e2, MmdConfig(bandwidth=2.0))[1]
     assert vals[400] < vals[40]
 
 
 def test_mmd_all_identical_points():
     e = np.ones((6, 2))
-    assert mmd(e, np.ones((4, 2))) == 0.0
+    assert mmd_permutation_pvalue(e, np.ones((4, 2)))[1] == 0.0
 
 
 def test_permutation_pvalue_identical_sets_exactly_one():
@@ -257,6 +259,7 @@ def _explanation_pair(draw):
 @given(_explanation_pair())
 def test_mmd_property_symmetric_and_zero_on_itself(pair):
     a, b = pair
-    assert mmd(a, b) == pytest.approx(mmd(b, a), rel=1e-9, abs=1e-9)
-    assert mmd(a, a) == 0.0
-    assert mmd(a, b) >= 0.0
+    observed = mmd_permutation_pvalue(a, b)[1]
+    assert observed == pytest.approx(mmd_permutation_pvalue(b, a)[1], rel=1e-9, abs=1e-9)
+    assert mmd_permutation_pvalue(a, a)[1] == 0.0
+    assert observed >= 0.0

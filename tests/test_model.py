@@ -14,15 +14,14 @@ from procfair.data import Dataset, SyntheticConfig, generate_synthetic, pearson_
 from procfair.model import (
     LinearParams,
     MlpParams,
+    _forward,
+    _logit_input_grads,
     adam_init,
     adam_step,
     bce_loss_grads,
     gpf_loss_grads,
-    input_gradient,
-    input_gradients,
     linear_train,
     load_params,
-    mlp_forward,
     mlp_init,
     mlp_logits,
     override_sensitive_weight,
@@ -46,21 +45,20 @@ def test_mlp_init_bounds_and_shapes():
 
 def test_mlp_forward_zero_params():
     p = MlpParams(W1=np.zeros((3, 2)), b1=np.zeros(3), w2=np.zeros(3), b2=0.0)
-    logit, prob = mlp_forward(p, np.array([1.0, -2.0]))
-    assert logit == 0.0 and prob == 0.5
+    x = np.array([[1.0, -2.0]])
+    assert p.logits(x)[0] == 0.0 and _forward(p, x).p[0] == 0.5
 
 
 def test_mlp_forward_hand_example():
     p = MlpParams(W1=np.array([[1.0, -1.0]]), b1=np.zeros(1), w2=np.array([2.0]), b2=0.0)
-    logit, prob = mlp_forward(p, np.array([1.0, 0.0]))
-    assert logit == pytest.approx(2.0, abs=1e-12)
-    assert prob == pytest.approx(expit(2.0), abs=1e-12)
+    x = np.array([[1.0, 0.0]])
+    assert p.logits(x)[0] == pytest.approx(2.0, abs=1e-12)
+    assert _forward(p, x).p[0] == pytest.approx(expit(2.0), abs=1e-12)
 
 
 def test_mlp_forward_all_units_inactive_returns_bias():
     p = MlpParams(W1=np.array([[1.0], [2.0]]), b1=np.zeros(2), w2=np.array([3.0, 4.0]), b2=-1.5)
-    logit, _ = mlp_forward(p, np.array([-1.0]))
-    assert logit == -1.5
+    assert p.logits(np.array([[-1.0]]))[0] == -1.5
 
 
 def test_forward_determinism_bit_identical():
@@ -71,25 +69,30 @@ def test_forward_determinism_bit_identical():
     assert (z1 == z2).all()
 
 
+def _logit_grads(params, X):
+    """Logit input gradients under the ReLU gate training uses."""
+    return _logit_input_grads(params, _forward(params, X).mask)
+
+
 def test_input_gradient_linear_path():
     # identity first layer with all units active reduces to the weight vector
     w = np.array([0.7, -1.3, 2.1])
     p = MlpParams(W1=np.eye(3), b1=np.full(3, 10.0), w2=w, b2=0.0)
-    g = input_gradient(p, np.array([0.1, 0.2, 0.3]))
-    np.testing.assert_array_equal(g, w)
+    g = _logit_grads(p, np.array([[0.1, 0.2, 0.3]]))
+    np.testing.assert_array_equal(g, [w])
 
 
 def test_input_gradient_hand_chain_rule():
     p = MlpParams(W1=np.array([[1.0, -1.0]]), b1=np.zeros(1), w2=np.array([2.0]), b2=0.0)
-    g = input_gradient(p, np.array([1.0, 0.0]))
-    np.testing.assert_array_equal(g, [2.0, -2.0])
+    g = _logit_grads(p, np.array([[1.0, 0.0]]))
+    np.testing.assert_array_equal(g, [[2.0, -2.0]])
 
 
 def test_input_gradient_zero_preactivation_convention():
     # pre-activation exactly 0: 1[z > 0] contributes nothing
     p = MlpParams(W1=np.array([[1.0]]), b1=np.array([0.0]), w2=np.array([5.0]), b2=0.0)
-    g = input_gradient(p, np.array([0.0]))
-    assert g[0] == 0.0
+    g = _logit_grads(p, np.array([[0.0]]))
+    assert g[0, 0] == 0.0
 
 
 def test_prob_input_gradients_scale():

@@ -251,6 +251,11 @@ def test_compare_scenarios():
         compare_scenarios([a])
     with pytest.raises(ValueError, match="mismatched"):
         compare_scenarios([a, fake_bundle("d", [0.1, 0.2])])
+    with pytest.raises(ValueError, match=r"unknown metric 'foo'; expected one of \['accuracy'"):
+        compare_scenarios([a, b], metric="foo")
+    for alpha in (0.0, 1.0, 7.0, float("nan")):
+        with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
+            compare_scenarios([a, b], alpha=alpha)
 
     all_metrics = compare_scenarios([a, b])
     assert {r["metric"] for r in all_metrics} == {

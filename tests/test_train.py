@@ -13,7 +13,6 @@ from procfair.train import (
     dp_proxy_grads,
     evaluate,
     train,
-    train_inverse,
 )
 
 
@@ -69,18 +68,6 @@ def test_history_records_all_epochs(small_splits):
     assert len(hist.total) == len(hist.bce) == len(hist.gpf) == len(hist.dp_proxy) == 25
     assert hist.seconds > 0
     np.testing.assert_allclose(hist.total, hist.bce + 0.5 * hist.gpf, atol=1e-12)
-
-
-def test_train_inverse_rejects_nonnegative_alpha(small_splits):
-    train_ds, _ = small_splits
-    with pytest.raises(ValueError, match="alpha"):
-        train_inverse(train_ds, TrainConfig(mode="procedural", alpha=0.0, epochs=5))
-    with pytest.raises(ValueError, match="alpha"):
-        train_inverse(train_ds, TrainConfig(mode="procedural", alpha=-0.0, epochs=5))
-    params, hist = train_inverse(
-        train_ds, TrainConfig(mode="bce_only", alpha=-0.1, epochs=5, seed=0)
-    )
-    assert (hist.gpf > 0).any()  # ran in procedural mode despite the cfg mode
 
 
 def test_single_group_data_rejected_in_regularized_modes():

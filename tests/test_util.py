@@ -12,7 +12,7 @@ import procfair
 from procfair.cli import main
 from procfair.data import SyntheticConfig, export_schema, generate_synthetic, write_csv
 from procfair.fairness import FairnessReport
-from procfair.model import mlp_init, save_params
+from procfair.model import LinearParams, mlp_init, save_params
 from procfair.pairing import select_eval_pairs
 from procfair.scenarios import (ResultBundle, ScenarioConfig, emit_sensitive_attributions,
                                 load_preset)
@@ -49,7 +49,7 @@ def _bundle(scenario_id):
 
 def test_record_field_order_is_the_file_format(tmp_path):
     # records write their dataclass fields in declaration order, so
-    # reordering a field changes every report, config and bundle file
+    # reordering a field changes every report, config, bundle and model file
     assert list(_report().to_dict()) == [
         "accuracy", "dp", "di", "di_reason", "eop", "eop_reason", "eod", "eod_reason",
         "gpf_fae", "gpf_loss", "train_seconds", "eval_seconds"]
@@ -60,6 +60,12 @@ def test_record_field_order_is_the_file_format(tmp_path):
     _bundle("a").write(tmp_path / "a.bundle.json")
     assert list(json.loads((tmp_path / "a.bundle.json").read_text())) == [
         "scenario", "config_hash", "version", "timestamp", "reports", "errors", "aggregate"]
+    save_params(mlp_init(3, 2, seed=0), tmp_path / "m.json")
+    assert list(json.loads((tmp_path / "m.json").read_text())) == [
+        "format_version", "kind", "input_size", "hidden_size", "W1", "b1", "w2", "b2"]
+    save_params(LinearParams(w=np.ones(2), b=0.0, sensitive_index=1), tmp_path / "l.json")
+    assert list(json.loads((tmp_path / "l.json").read_text())) == [
+        "format_version", "kind", "input_size", "w", "b", "sensitive_index"]
 
 
 # Each case writes its files into tmp_path and returns (paths, write).
