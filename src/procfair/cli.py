@@ -17,6 +17,7 @@ from pathlib import Path
 
 from .data import (SyntheticConfig, dataset_dp, export_schema, generate_synthetic,
                    pearson_select, write_csv)
+from .fairness import MmdConfig
 from .model import load_params, save_params
 from .scenarios import (
     ResultBundle,
@@ -59,6 +60,15 @@ def _non_negative_int(text: str) -> int:
     return int(text)
 
 
+def _flag_checked(flag: str, build):
+    """build(), with the ValueError its config raises for a bad flag value
+    re-raised under that flag's name."""
+    try:
+        return build()
+    except ValueError as exc:
+        raise ValueError(f"argument {flag}: {exc}") from None
+
+
 def _parse_range(text: str) -> tuple[float, float, int]:
     """Parse 'lo:hi:count' grid specs."""
     parts = text.split(":")
@@ -78,7 +88,7 @@ def _load_scenario(args) -> ScenarioConfig:
     else:
         raise ValueError("provide --config FILE or --preset NAME")
     if getattr(args, "reps", None) is not None:
-        cfg = replace(cfg, repetitions=args.reps)
+        cfg = _flag_checked("--reps", lambda: replace(cfg, repetitions=args.reps))
     if getattr(args, "seed", None) is not None:
         cfg = replace(cfg, master_seed=args.seed)
     return cfg
@@ -169,6 +179,11 @@ def _cmd_scenario_compare(args) -> int:
 
 
 def _sweep_settings(args, **extra) -> SweepSettings:
+    """The common sweep flags, each checked by the config that consumes it
+    before any data is made or model fitted."""
+    _flag_checked("--n", lambda: SyntheticConfig(p=0.5, n_points=args.n))
+    _flag_checked("--epochs", lambda: TrainConfig(epochs=args.epochs))
+    _flag_checked("--perms", lambda: MmdConfig(n_permutations=args.perms))
     return SweepSettings(n_points=args.n, epochs=args.epochs, n_permutations=args.perms, **extra)
 
 

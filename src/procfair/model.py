@@ -79,7 +79,7 @@ class MlpParams:
         reliance is locally linear.
         """
         c = _forward(self, X)
-        return (c.p * (1.0 - c.p))[:, None] * _logit_input_grads(self, c.mask)
+        return (c.p * (1.0 - c.p))[:, None] * _logit_input_grads(self, c)
 
 
 @dataclass(frozen=True)
@@ -149,11 +149,11 @@ def mlp_init(d: int, h: int, seed: int) -> MlpParams:
 mlp_logits = MlpParams.logits  # function form, as perfbench's probes call it
 
 
-def _logit_input_grads(params: MlpParams, mask: np.ndarray) -> np.ndarray:
-    """Gradient of the pre-sigmoid logit w.r.t. the input, given the ReLU
-    gate. The gate is 1[pre-activation > 0], so a unit sitting exactly at
-    zero contributes nothing."""
-    return (mask * params.w2) @ params.W1
+def _logit_input_grads(params: MlpParams, c: _Forward) -> np.ndarray:
+    """Gradient of the pre-sigmoid logit w.r.t. the input, through the
+    forward pass's masked hidden weights. The gate is 1[pre-activation > 0],
+    so a unit sitting exactly at zero contributes nothing."""
+    return c.mw @ params.W1
 
 
 class _Forward(NamedTuple):
@@ -161,14 +161,36 @@ class _Forward(NamedTuple):
 
     X: np.ndarray
     mask: np.ndarray  # ReLU gate, pre-activation > 0
+    mw: np.ndarray  # mask * w2: d(logit)/d(pre-activation) per row
     act: np.ndarray
     p: np.ndarray  # sigmoid(logit)
 
 
-def _forward(params: MlpParams, X: np.ndarray) -> _Forward:
-    pre = X @ params.W1.T + params.b1
-    act = np.maximum(pre, 0.0)
-    return _Forward(X, pre > 0.0, act, expit(act @ params.w2 + params.b2))
+def _out(scratch: dict | None, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+    """Output array for one n x h epoch temporary: a fresh one, or the one
+    `scratch` keeps under `name` from the previous epoch.
+
+    These arrays are MB-sized. Allocated afresh, glibc hands their pages
+    back to the OS between epochs whenever the freed heap top exceeds its
+    trim threshold, and every epoch pays the page faults again; training
+    passes one scratch dict for the whole run so the pages stay mapped.
+    """
+    if scratch is None:
+        return np.empty(shape, dtype)
+    a = scratch.get(name)
+    if a is None or a.shape != shape:
+        a = scratch[name] = np.empty(shape, dtype)
+    return a
+
+
+def _forward(params: MlpParams, X: np.ndarray, scratch: dict | None = None) -> _Forward:
+    nh = (X.shape[0], params.hidden_size)
+    pre = np.matmul(X, params.W1.T, out=_out(scratch, "pre", nh))
+    pre += params.b1
+    act = np.maximum(pre, 0.0, out=_out(scratch, "act", nh))
+    mask = np.greater(pre, 0.0, out=_out(scratch, "mask", nh, bool))
+    mw = np.multiply(mask, params.w2, out=_out(scratch, "mw", nh))
+    return _Forward(X, mask, mw, act, expit(act @ params.w2 + params.b2))
 
 
 def _bce_term(p: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
@@ -203,7 +225,7 @@ def _pair_sign_scatter(S: np.ndarray, idx1: np.ndarray, idx2: np.ndarray, m: int
 
 
 def _gap_term(
-    params: MlpParams, c: _Forward, idx1: np.ndarray, idx2: np.ndarray
+    params: MlpParams, c: _Forward, idx1: np.ndarray, idx2: np.ndarray, scratch: dict | None = None
 ) -> tuple[float, np.ndarray, dict[str, np.ndarray]]:
     """Mean l1 gap between probability-gradient explanations of paired rows.
 
@@ -213,28 +235,30 @@ def _gap_term(
     path as d(loss)/d(logit) (sigma'' = s(1-2p), which is where the bias
     gradients come from), and the mask path's direct W1/w2 gradient.
     """
-    maskf = c.mask.astype(np.float64)
+    maskf = _out(scratch, "maskf", c.mask.shape)
+    maskf[...] = c.mask
     s = c.p * (1.0 - c.p)
-    G = _logit_input_grads(params, maskf)
+    G = _logit_input_grads(params, c)
     E = s[:, None] * G
     U = E[idx1] - E[idx2]
     loss = float(np.abs(U).sum(axis=1).mean())
     R = _pair_sign_scatter(np.sign(U) / idx1.shape[0], idx1, idx2, c.X.shape[0])
     sR = s[:, None] * R
     dz = (R * G).sum(axis=1) * s * (1.0 - 2.0 * c.p)
-    direct = {
-        "W1": (maskf.T @ sR) * params.w2[:, None],
-        "w2": (maskf * (sR @ params.W1.T)).sum(axis=0),
-    }
+    sRW = np.matmul(sR, params.W1.T, out=_out(scratch, "sRW", c.mask.shape))
+    sRW *= maskf
+    direct = {"W1": (maskf.T @ sR) * params.w2[:, None], "w2": sRW.sum(axis=0)}
     return loss, dz, direct
 
 
 def _backprop_from_dz(
-    params: MlpParams, c: _Forward, dz: np.ndarray, direct: dict | None = None, scale: float = 1.0
+    params: MlpParams, c: _Forward, dz: np.ndarray, direct: dict | None = None, scale: float = 1.0,
+    scratch: dict | None = None,
 ) -> dict[str, np.ndarray | float]:
     """Backprop through the MLP given d(loss)/d(logit) per row, then add
     scale times any direct parameter gradient."""
-    dpre = (dz[:, None] * params.w2) * c.mask
+    # the mask is 0/1, so this is (dz * w2) * mask bit for bit
+    dpre = np.multiply(dz[:, None], c.mw, out=_out(scratch, "dpre", c.mw.shape))
     grads = {
         "W1": dpre.T @ c.X,
         "b1": dpre.sum(axis=0),

@@ -94,10 +94,11 @@ def dp_proxy_grads(params: MlpParams, X: np.ndarray, group: np.ndarray):
     return loss, _backprop_from_dz(params, c, dz)
 
 
-def _fused_epoch(params, X, y, group, idx1, idx2, alpha, beta, mode):
+def _fused_epoch(params, X, y, group, idx1, idx2, alpha, beta, mode, scratch=None):
     """One epoch's (total, bce, gpf, dp_proxy) losses and combined gradient:
-    the mode's loss terms over a single forward pass, backpropagated once."""
-    c = _forward(params, X)
+    the mode's loss terms over a single forward pass, backpropagated once.
+    The n x h temporaries are written into `scratch`, kept across epochs."""
+    c = _forward(params, X, scratch)
     bce, dz = _bce_term(c.p, y)
     gpf_val = dp_val = 0.0
     direct = None
@@ -105,9 +106,9 @@ def _fused_epoch(params, X, y, group, idx1, idx2, alpha, beta, mode):
         dp_val, dz_dp = _dp_term(c.p, group)
         dz = dz + beta * dz_dp
     if mode == "procedural":
-        gpf_val, dz_gap, direct = _gap_term(params, c, idx1, idx2)
+        gpf_val, dz_gap, direct = _gap_term(params, c, idx1, idx2, scratch)
         dz = dz + alpha * dz_gap
-    grads = _backprop_from_dz(params, c, dz, direct, alpha)
+    grads = _backprop_from_dz(params, c, dz, direct, alpha, scratch)
     total = bce + alpha * gpf_val + beta * dp_val
     return (total, bce, gpf_val, dp_val), grads
 
@@ -131,9 +132,10 @@ def train(data: Dataset, cfg: TrainConfig) -> tuple[MlpParams, TrainHistory]:
     X = data.features
 
     losses = np.empty((4, cfg.epochs))  # rows: total, bce, gpf, dp_proxy
+    scratch: dict = {}
     for epoch in range(cfg.epochs):
         losses[:, epoch], grads = _fused_epoch(
-            params, X, y, data.group, idx1, idx2, cfg.alpha, cfg.beta, cfg.mode
+            params, X, y, data.group, idx1, idx2, cfg.alpha, cfg.beta, cfg.mode, scratch
         )
         params, state = adam_step(state, params, grads, cfg.lr)
 

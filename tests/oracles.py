@@ -5,7 +5,8 @@ finite differences for gradients, subset enumeration for rank-sum,
 direct probability-gradient recomputation for explanation values, a
 one-row-at-a-time coalition evaluation for KernelSHAP, and, on the
 library's kernel set-up, an argsort split draw made afresh on every call
-for the MMD permutation test.
+for the MMD permutation test, and full cdist rows for nearest-neighbour
+pairing.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from procfair.model import MlpParams
 
@@ -179,3 +181,17 @@ def per_call_pvalue(e1, e2, cfg) -> tuple[float, float]:
         stats[stats <= _STAT_SNAP] = 0.0
         count += int((stats >= observed).sum())
     return (1 + count) / (1 + cfg.n_permutations), observed
+
+
+def nearest_cross_cdist(a: np.ndarray, b: np.ndarray, chunk: int = 1024):
+    """Per row of a: index of its nearest row in b and the distance, as the
+    argmin of full cdist rows in chunks of `chunk` rows (ties at the lowest
+    index)."""
+    nn = np.empty(a.shape[0], dtype=np.int64)
+    dd = np.empty(a.shape[0], dtype=np.float64)
+    for s in range(0, a.shape[0], chunk):
+        d = cdist(a[s : s + chunk], b)
+        j = d.argmin(axis=1)
+        nn[s : s + chunk] = j
+        dd[s : s + chunk] = d[np.arange(j.shape[0]), j]
+    return nn, dd

@@ -66,6 +66,26 @@ def test_negative_seed_or_rep_exit_1(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "grid", "--epochs", "0"], "argument --epochs: epochs must be >= 1"),
+    (["sweep", "ws", "--epochs", "-2"], "argument --epochs: epochs must be >= 1"),
+    (["sweep", "p", "--epochs", "0"], "argument --epochs: epochs must be >= 1"),
+    (["sweep", "ws", "--perms", "50"], "argument --perms: n_permutations must be >= 100"),
+    (["sweep", "grid", "--perms", "99"], "argument --perms: n_permutations must be >= 100"),
+    (["sweep", "ws", "--n", "-5"], "argument --n: n_points must be >= 4"),
+    (["sweep", "p", "--n", "3"], "argument --n: n_points must be >= 4"),
+    (["scenario", "run", "--preset", "synth065_baseline", "--reps", "0"],
+     "argument --reps: repetitions must be >= 1"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_out_of_range_flag_exit_1_naming_it(tmp_path, capsys, argv, message):
+    # --out is a file for the sweeps and a directory for scenario run; either
+    # way nothing is written, because the flag fails before any fit.
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_subcommand_and_flag_exit_1(capsys):
     assert main(["frobnicate"]) == 1
     assert main(["generate", "--p", "0.5", "--bogus", "x"]) == 1
@@ -286,7 +306,8 @@ def test_sweep_p_rejects_pearson_exit_1(tmp_path):
 
 
 def test_sweep_p_failing_point_exit_2(tmp_path, capsys):
-    assert main(["sweep", "p", "--p", "0.5:0.6:2", "--n", "3", "--epochs", "5",
+    # the second point, p = 1.1, is outside [0, 1]: its dataset stage fails
+    assert main(["sweep", "p", "--p", "0.9:1.1:2", "--n", "40", "--epochs", "5",
                  "--perms", "100", "--out", str(tmp_path / "p.csv")]) == 2
     assert "runtime failure: dataset:" in capsys.readouterr().err
 

@@ -71,7 +71,7 @@ def test_forward_determinism_bit_identical():
 
 def _logit_grads(params, X):
     """Logit input gradients under the ReLU gate training uses."""
-    return _logit_input_grads(params, _forward(params, X).mask)
+    return _logit_input_grads(params, _forward(params, X))
 
 
 def test_input_gradient_linear_path():

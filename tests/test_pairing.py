@@ -1,9 +1,14 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from oracles import nearest_cross_cdist
+from procfair import pairing
 from procfair.data import Dataset
 from procfair.pairing import PairSet, build_pairs, select_eval_pairs
 
@@ -160,3 +165,67 @@ def test_build_pairs_property_row_permutation_invariant(data):
     assert mapped.keys() == original.keys()
     for key, dist in original.items():
         assert mapped[key] == pytest.approx(dist, rel=1e-12, abs=1e-12)
+
+
+def _two_groups(feats: np.ndarray, n1: int, sensitive_col=None) -> Dataset:
+    n = feats.shape[0]
+    return Dataset(
+        features=feats,
+        labels=np.zeros(n, dtype=int),
+        group=np.r_[np.ones(n1, dtype=int), np.zeros(n - n1, dtype=int)],
+        feature_names=tuple(f"f{j}" for j in range(feats.shape[1])),
+        sensitive_col=sensitive_col,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n1=st.integers(1, 300),
+    n2=st.integers(1, 300),
+    d=st.sampled_from([1, 2, 3, pairing._KDTREE_MAX_D, pairing._KDTREE_MAX_D + 1]),
+    levels=st.integers(1, 6),
+    scale=st.sampled_from([1.0, 0.1, 1e-3]),
+    dup_share=st.floats(0.0, 0.9),
+)
+def test_nearest_search_matches_cdist_oracle(seed, n1, n2, d, levels, scale, dup_share):
+    # Integer-valued features on a small grid make many equal distances and
+    # equal rows; a scale of 0.1 makes equal distances round differently.
+    rng = np.random.default_rng(seed)
+    feats = rng.integers(-levels, levels + 1, size=(n1 + n2, d)) * scale
+    dup = rng.random(n1 + n2) < dup_share
+    feats[dup] = feats[rng.integers(0, n1 + n2, size=int(dup.sum()))]
+    a, b = feats[:n1], feats[n1:]
+    for x, y in ((a, b), (b, a)):
+        got, want = pairing._nearest_cross(x, y), nearest_cross_cdist(x, y)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    ds = _two_groups(feats, n1)
+    with mock.patch.object(pairing, "_nearest_cross", nearest_cross_cdist):
+        want = build_pairs(ds)
+    got = build_pairs(ds)
+    for field in ("idx1", "idx2", "distances"):
+        assert np.array_equal(getattr(got, field), getattr(want, field))
+
+
+def test_build_pairs_memory_is_bounded_by_one_block():
+    # 13 pairing dims, above the KD-tree crossover: the brute-force blocks
+    # set the working set, 128 rows x 3,000 columns x 8 B each.
+    rng = np.random.default_rng(0)
+    ds = _two_groups(rng.normal(size=(4500, 14)), 3000, sensitive_col=13)
+    assert pairing.pair_columns(ds).size > pairing._KDTREE_MAX_D
+    tracemalloc.start()
+    try:
+        build_pairs(ds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 128 * 3000 * 8 + 2**20
+
+
+@pytest.mark.parametrize("d", [2, 12])  # both sides of the KD-tree crossover
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_build_pairs_rejects_non_finite_features(d, bad):
+    feats = np.random.default_rng(1).normal(size=(6, d))
+    feats[4, 1] = bad
+    with pytest.raises(ValueError, match="pairing features must be finite"):
+        build_pairs(_two_groups(feats, 3))

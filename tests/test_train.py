@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from oracles import config_away_from_kinks, finite_diff_grads, max_rel_error
+from oracles import config_away_from_kinks, finite_diff_grads, max_rel_error, random_mlp
 from procfair.data import Dataset, SyntheticConfig, generate_synthetic, split
 from procfair.fairness import MmdConfig
 from procfair.model import MlpParams, bce_loss_grads, gpf_loss_grads, mlp_init
 from procfair.pairing import PairSet, select_eval_pairs
 from procfair.train import (
+    MODES,
     TrainConfig,
     _fused_epoch,
     dp_proxy_grads,
@@ -162,6 +163,26 @@ def test_fused_epoch_matches_finite_differences_and_standalone_terms(mode, alpha
         worst = max(worst, max_rel_error(grads, finite_diff_grads(lambda q: epoch(q)[0][0], params)))
         checked += 1
     assert worst < 1e-4
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_fused_epoch_scratch_reuse_is_bit_identical(mode):
+    # train() passes one scratch dict to every epoch; each epoch overwrites
+    # the arrays the previous one left there.
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(40, 3))
+    y = rng.integers(0, 2, 40).astype(np.float64)
+    group = np.arange(40) % 2
+    idx1, idx2 = rng.integers(0, 40, 25), rng.integers(0, 40, 25)
+    scratch: dict = {}
+    for seed in range(3):
+        params = random_mlp(np.random.default_rng(seed), 3, 5)
+        fresh = _fused_epoch(params, X, y, group, idx1, idx2, 0.5, 0.5, mode)
+        reused = _fused_epoch(params, X, y, group, idx1, idx2, 0.5, 0.5, mode, scratch)
+        assert fresh[0] == reused[0]
+        for key, g in fresh[1].items():
+            assert np.array_equal(g, reused[1][key])
+    assert scratch  # the arrays were kept
 
 
 def test_evaluate_perfect_and_constant_classifiers(small_splits):
