@@ -10,21 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from .data import Dataset
 
 _CHUNK = 128  # rows of a per cdist block: one block is _CHUNK x len(b) x 8 B
-# Up to this many pairing columns a KD-tree narrows each block's columns
-# first; above it the tree visits most leaves and full cdist blocks win
-# (crossover timed at d = 2..13, see BENCH_pairing.json).
-_KDTREE_MAX_D = 8
-# The KD-tree and cdist round a pair's distance differently, by less than
-# 1e-14 relative for any realistic width, or by a subnormal square under
-# sqrt. Every column within this slack of the tree's nearest distance stays
-# a candidate, so the row's exact cdist argmin is always among them.
-_SLACK_REL, _SLACK_ABS = 1e-9, 1e-150
 
 
 @dataclass(frozen=True)
@@ -65,49 +55,18 @@ def pair_columns(data: Dataset) -> np.ndarray:
 
 
 def _nearest_cross(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of a: index of nearest row in b and the distance, exactly
-    as the argmin of that row's full cdist row (ties at the lowest index).
+    """Per row of a: index of nearest row in b and the distance.
 
-    Works in blocks of _CHUNK rows. At low dimension a block's cdist runs
-    only against the sorted union of its rows' KD-tree candidates. A cdist
-    entry does not depend on the block's shape, and each row's full argmin
-    is in the union, so the union's argmin is the same column and distance.
+    Brute force in chunks; argmin breaks ties at the lowest index.
     """
     nn = np.empty(a.shape[0], dtype=np.int64)
     dd = np.empty(a.shape[0], dtype=np.float64)
-    screen = 0 < a.shape[1] <= _KDTREE_MAX_D
-    if screen:
-        first, cand = _kdtree_candidates(a, b)
     for s in range(0, a.shape[0], _CHUNK):
-        block = slice(s, s + _CHUNK)
-        cols = first[np.unique(np.concatenate(cand[block]))] if screen else slice(None)
-        d = cdist(a[block], b[cols])
+        d = cdist(a[s : s + _CHUNK], b)
         j = d.argmin(axis=1)
-        nn[block] = cols[j] if screen else j
-        dd[block] = d[np.arange(j.shape[0]), j]
+        nn[s : s + _CHUNK] = j
+        dd[s : s + _CHUNK] = d[np.arange(j.shape[0]), j]
     return nn, dd
-
-
-def _kdtree_candidates(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of b that can be a row of a's cdist argmin.
-
-    Of equal rows of b only the first can be an argmin, so the tree holds
-    the first occurrences, at ascending row indices `first`. Returns
-    `first` and, per row of a, the tree indices within rounding slack of
-    that row's nearest tree distance (an object array of lists). A row
-    whose second-nearest tree row lies beyond the slack has one candidate.
-    """
-    _, first = np.unique(b, axis=0, return_index=True)
-    first.sort()
-    tree = cKDTree(b[first])
-    r, i = tree.query(a, k=2)
-    reach = r[:, 0] * (1.0 + _SLACK_REL) + _SLACK_ABS
-    cand = np.empty(a.shape[0], dtype=object)
-    cand[:] = i[:, :1].tolist()
-    tied = np.flatnonzero(r[:, 1] <= reach)
-    if tied.size:
-        cand[tied] = tree.query_ball_point(a[tied], reach[tied])
-    return first, cand
 
 
 def build_pairs(data: Dataset) -> PairSet:

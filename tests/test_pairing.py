@@ -183,7 +183,7 @@ def _two_groups(feats: np.ndarray, n1: int, sensitive_col=None) -> Dataset:
     seed=st.integers(0, 2**32 - 1),
     n1=st.integers(1, 300),
     n2=st.integers(1, 300),
-    d=st.sampled_from([1, 2, 3, pairing._KDTREE_MAX_D, pairing._KDTREE_MAX_D + 1]),
+    d=st.sampled_from([1, 2, 3, 8, 13]),
     levels=st.integers(1, 6),
     scale=st.sampled_from([1.0, 0.1, 1e-3]),
     dup_share=st.floats(0.0, 0.9),
@@ -208,11 +208,9 @@ def test_nearest_search_matches_cdist_oracle(seed, n1, n2, d, levels, scale, dup
 
 
 def test_build_pairs_memory_is_bounded_by_one_block():
-    # 13 pairing dims, above the KD-tree crossover: the brute-force blocks
-    # set the working set, 128 rows x 3,000 columns x 8 B each.
+    # The cdist blocks set the working set: 128 rows x 3,000 columns x 8 B.
     rng = np.random.default_rng(0)
     ds = _two_groups(rng.normal(size=(4500, 14)), 3000, sensitive_col=13)
-    assert pairing.pair_columns(ds).size > pairing._KDTREE_MAX_D
     tracemalloc.start()
     try:
         build_pairs(ds)
@@ -222,10 +220,9 @@ def test_build_pairs_memory_is_bounded_by_one_block():
     assert peak < 2 * 128 * 3000 * 8 + 2**20
 
 
-@pytest.mark.parametrize("d", [2, 12])  # both sides of the KD-tree crossover
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_build_pairs_rejects_non_finite_features(d, bad):
-    feats = np.random.default_rng(1).normal(size=(6, d))
+def test_build_pairs_rejects_non_finite_features(bad):
+    feats = np.random.default_rng(1).normal(size=(6, 3))
     feats[4, 1] = bad
     with pytest.raises(ValueError, match="pairing features must be finite"):
         build_pairs(_two_groups(feats, 3))
