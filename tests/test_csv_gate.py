@@ -13,9 +13,13 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 from procfair.cli import main
 from procfair.explain import _EXHAUSTIVE_MAX_D
 from procfair.scenarios import load_preset
+
+pytestmark = pytest.mark.gate
 
 ADULT_CSV = Path(__file__).resolve().parents[1] / "perfbench" / "adult_csv.py"
 

@@ -175,14 +175,33 @@ def test_identical_explanations_give_pvalue_one():
     assert p == 1.0
 
 
-# sha256 of the whole CSV, hash line included, as the command below writes
+# sha256 of the whole CSV, hash line included, as each command below writes
 # it. A change to sweeps, training or evaluation that is meant to keep every
 # output bit-identical must keep these bytes.
 GOLDEN_GRID_SHA256 = "57169a8418e3bfb2294a00acdfe1dbd915660ce11d320e0ec954bbb0f8e6d191"
+GOLDEN_P_SHA256 = "c957bd38031ed8cb8c511326c7516f8588e4d2395804945021519c4c7d29db04"
+GOLDEN_WS_SHA256 = "31da5df283560471f9b072855c89a9dd6ecb6350dd92479264d6d8abd2e4709e"
 
 
+def _sweep_csv_sha256(tmp_path, argv: list[str]) -> str:
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", *argv, "--perms", "100", "--seed", "0", "--out", str(out)]) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+@pytest.mark.gate
 def test_sweep_grid_csv_bytes_pinned(tmp_path):
-    out = tmp_path / "grid.csv"
-    assert main(["sweep", "grid", "--p", "0.5:0.65:2", "--ws", "-5:5:3", "--n", "800",
-                 "--epochs", "30", "--perms", "100", "--seed", "0", "--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_GRID_SHA256
+    argv = ["grid", "--p", "0.5:0.65:2", "--ws", "-5:5:3", "--n", "800", "--epochs", "30"]
+    assert _sweep_csv_sha256(tmp_path, argv) == GOLDEN_GRID_SHA256
+
+
+@pytest.mark.gate
+def test_sweep_p_csv_bytes_pinned(tmp_path):
+    argv = ["p", "--p", "0.5:0.6:2", "--n", "600", "--epochs", "20"]
+    assert _sweep_csv_sha256(tmp_path, argv) == GOLDEN_P_SHA256
+
+
+@pytest.mark.gate
+def test_sweep_ws_csv_bytes_pinned(tmp_path):
+    argv = ["ws", "--p", "0.65", "--ws", "-5:5:3", "--n", "800", "--epochs", "30"]
+    assert _sweep_csv_sha256(tmp_path, argv) == GOLDEN_WS_SHA256
