@@ -35,7 +35,7 @@ from .model import (
     mlp_init,
     override_sensitive_weight,
 )
-from .explain import exact_shapley, kernel_shap
+from .explain import exact_shapley
 from .fairness import (
     FairnessReport,
     MmdConfig,
@@ -47,7 +47,7 @@ from .fairness import (
     gpf_loss,
 )
 from .train import TrainConfig, TrainHistory, dp_proxy_grads, evaluate, train
-from .sweeps import SweepSettings, p_sweep, sweep_p_ws, sweep_ws
+from .sweeps import p_sweep, sweep_p_ws, sweep_ws
 from .scenarios import (
     ResultBundle,
     ScenarioConfig,

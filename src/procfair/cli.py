@@ -31,7 +31,7 @@ from .scenarios import (
     run_repetition,
     run_scenario,
 )
-from .sweeps import SweepSettings, p_sweep, sweep_p_ws, sweep_ws, write_sweep_csv
+from .sweeps import p_sweep, sweep_p_ws, sweep_ws, write_sweep_csv
 from .train import TrainConfig, evaluate
 from .util import atomic_write_json, config_hash
 
@@ -178,13 +178,14 @@ def _cmd_scenario_compare(args) -> int:
     return 0
 
 
-def _sweep_settings(args, **extra) -> SweepSettings:
-    """The common sweep flags, each checked by the config that consumes it
-    before any data is made or model fitted."""
+def _check_sweep_flags(args, **train_fields) -> TrainConfig:
+    """Check the common sweep flags, each against the config that owns its
+    default, before any data is made or model fitted. Returns the
+    TrainConfig of --epochs and train_fields, which sweep p trains with."""
     _flag_checked("--n", lambda: SyntheticConfig(p=0.5, n_points=args.n))
-    _flag_checked("--epochs", lambda: TrainConfig(epochs=args.epochs))
+    cfg = _flag_checked("--epochs", lambda: TrainConfig(epochs=args.epochs, **train_fields))
     _flag_checked("--perms", lambda: MmdConfig(n_permutations=args.perms))
-    return SweepSettings(n_points=args.n, epochs=args.epochs, n_permutations=args.perms, **extra)
+    return cfg
 
 
 def _sweep_hash(args, cmd: str, **flags) -> str:
@@ -195,10 +196,11 @@ def _sweep_hash(args, cmd: str, **flags) -> str:
 
 def _cmd_sweep_ws(args) -> int:
     lo, hi, count = _parse_range(args.ws)
-    settings = _sweep_settings(args)
+    _check_sweep_flags(args)
     data = generate_synthetic(SyntheticConfig(p=args.p, n_points=args.n, seed=args.seed))
     data = pearson_select(data, args.pearson)
-    rows = sweep_ws(data, (lo, hi), count, args.seed, settings, p=args.p)
+    rows = sweep_ws(data, (lo, hi), count, args.seed, epochs=args.epochs,
+                    n_permutations=args.perms, p=args.p)
     h = _sweep_hash(args, "sweep_ws", p=args.p, ws=args.ws, pearson=args.pearson)
     write_sweep_csv(rows, args.out, config_hash=h)
     print(f"wrote {len(rows)} sweep rows to {args.out}")
@@ -207,9 +209,8 @@ def _cmd_sweep_ws(args) -> int:
 
 def _cmd_sweep_p(args) -> int:
     lo, hi, count = _parse_range(args.p)
-    settings = _sweep_settings(args)
-    cfg = TrainConfig(mode="procedural", alpha=args.alpha)
-    rows = p_sweep((lo, hi), count, cfg, seed=args.seed, settings=settings)
+    cfg = _check_sweep_flags(args, mode="procedural", alpha=args.alpha)
+    rows = p_sweep((lo, hi), count, cfg, args.seed, n_points=args.n, n_permutations=args.perms)
     h = _sweep_hash(args, "sweep_p", p=args.p, alpha=args.alpha)
     write_sweep_csv(rows, args.out, config_hash=h)
     print(f"wrote {len(rows)} sweep rows to {args.out}")
@@ -219,8 +220,10 @@ def _cmd_sweep_p(args) -> int:
 def _cmd_sweep_grid(args) -> int:
     p_lo, p_hi, p_count = _parse_range(args.p)
     ws_lo, ws_hi, ws_count = _parse_range(args.ws)
-    settings = _sweep_settings(args, pearson_threshold=args.pearson)
-    rows = sweep_p_ws((p_lo, p_hi), (ws_lo, ws_hi), (p_count, ws_count), args.seed, settings)
+    _check_sweep_flags(args)
+    rows = sweep_p_ws((p_lo, p_hi), (ws_lo, ws_hi), (p_count, ws_count), args.seed,
+                      n_points=args.n, pearson_threshold=args.pearson, epochs=args.epochs,
+                      n_permutations=args.perms)
     h = _sweep_hash(args, "sweep_grid", p=args.p, ws=args.ws, pearson=args.pearson)
     write_sweep_csv(rows, args.out, config_hash=h)
     print(f"wrote {len(rows)} grid rows to {args.out}")
@@ -262,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", parents=[], help="generate a synthetic dataset CSV")
     p.add_argument("--p", type=float, required=True, help="group-bias parameter in [0,1]")
-    p.add_argument("--n", type=int, default=20000)
+    p.add_argument("--n", type=int, default=SyntheticConfig.n_points)
     p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_generate)
@@ -306,13 +309,15 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_sub = sweep.add_subparsers(dest="sweep_command", required=True)
 
     def _common_sweep_flags(sp, pearson: bool = True):
-        sp.add_argument("--n", type=int, default=20000, help="synthetic points per dataset")
+        sp.add_argument("--n", type=int, default=SyntheticConfig.n_points,
+                        help="synthetic points per dataset")
         sp.add_argument("--seed", type=_non_negative_int, default=0)
         if pearson:  # only the logistic-model sweeps select features
             sp.add_argument("--pearson", type=float, default=0.30,
                             help="feature-selection threshold")
-        sp.add_argument("--epochs", type=int, default=300)
-        sp.add_argument("--perms", type=int, default=1000, help="permutation count")
+        sp.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+        sp.add_argument("--perms", type=int, default=MmdConfig.n_permutations,
+                        help="permutation count")
         sp.add_argument("--out", required=True, help="output CSV path")
 
     p = sweep_sub.add_parser("ws", help="sensitive-weight sweep at fixed dataset bias")

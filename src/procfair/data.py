@@ -259,6 +259,10 @@ def preprocess(raw: RawTable, schema: ColumnSchema) -> Dataset:
         parsed = _parse_numeric(by_col[name])
         if parsed is None:
             parsed = _encode_first_appearance(by_col[name])
+        elif not np.isfinite(parsed).all():
+            row = int(np.argmin(np.isfinite(parsed)))
+            raise ValueError(f"column {name!r} row {row + 1}: non-finite value "
+                             f"{by_col[name][row]!r}")
         if role == ROLE_SENSITIVE:
             sensitive_col = len(cols)
         cols.append(zscore(parsed))

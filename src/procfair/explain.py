@@ -137,18 +137,6 @@ def kernel_shap_batch(
     return phi, base
 
 
-def kernel_shap(
-    predict: Callable[[np.ndarray], np.ndarray],
-    x: np.ndarray,
-    background: np.ndarray,
-    budget: int | str | None = None,
-    seed: int = 0,
-) -> tuple[np.ndarray, float]:
-    """Single-point KernelSHAP: returns (phi vector, base value)."""
-    phi, base = kernel_shap_batch(predict, np.asarray(x)[None, :], background, budget, seed)
-    return phi[0], base
-
-
 def exact_shapley(
     predict: Callable[[np.ndarray], np.ndarray],
     x: np.ndarray,

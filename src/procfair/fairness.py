@@ -140,15 +140,15 @@ def gpf_loss(e1, e2) -> float:
     return float(np.abs(a1 - a2).sum(axis=1).mean())
 
 
-def _kernel_matrix(pooled: np.ndarray, cfg: MmdConfig) -> tuple[np.ndarray, float]:
-    """(kernel matrix, bandwidth); bandwidth 0 means all points identical."""
+def _kernel_matrix(pooled: np.ndarray, cfg: MmdConfig) -> tuple[np.ndarray | None, float]:
+    """(kernel matrix, bandwidth); (None, 0.0) when all points are identical."""
     dists = pdist(pooled)
     if cfg.bandwidth is not None:
         sigma = cfg.bandwidth
     else:
         sigma = float(np.median(dists)) if dists.size else 0.0
     if sigma == 0.0:
-        return np.ones((pooled.shape[0], pooled.shape[0])), 0.0
+        return None, 0.0
     D = squareform(dists)
     if cfg.kernel == "exponential":
         K = np.exp(-D / sigma)
@@ -208,7 +208,7 @@ def _permutation_splits(seed: int, n: int, m: int, n_permutations: int) -> tuple
     return tuple(chunks)
 
 
-def mmd_permutation_pvalue(e1, e2, cfg: MmdConfig | None = None) -> tuple[float, float]:
+def mmd_permutation_pvalue(e1, e2, cfg: MmdConfig) -> tuple[float, float]:
     """Permutation-test p-value of the MMD between two explanation sets.
 
     The kernel matrix is computed once on the pooled rows; permutations
@@ -217,7 +217,6 @@ def mmd_permutation_pvalue(e1, e2, cfg: MmdConfig | None = None) -> tuple[float,
     the same four values. Returns (p, observed) with the +1/+1 estimator,
     so p lies in [1/(n_perm+1), 1].
     """
-    cfg = cfg or MmdConfig()
     setup = _mmd_setup(e1, e2, cfg)
     if setup is None:
         return 1.0, 0.0

@@ -339,7 +339,7 @@ def linear_bce_grads(
     return loss, {"w": X.T @ dz, "b": float(dz.sum())}
 
 
-def linear_train(data: Dataset, epochs: int = 300, lr: float = 0.01, seed: int = 0) -> LinearParams:
+def linear_train(data: Dataset, epochs: int, seed: int, lr: float = 0.01) -> LinearParams:
     """Full-batch Adam fit of a logistic regression; deterministic per seed."""
     if data.sensitive_col is None:
         raise ValueError("dataset must track its sensitive column for a linear model")

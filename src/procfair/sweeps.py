@@ -9,7 +9,7 @@ dict per cell, ready for write_sweep_csv.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -27,19 +27,10 @@ from .util import atomic_write_csv, seed_for
 # renumbering the later tags would move every sweep's seeds.
 _TAG_DATA, _TAG_SPLIT, _TAG_FIT = range(3)
 _TAG_BG, _TAG_MMD = 4, 5
-_SPLIT_RATIO = 0.8
-_N_EVAL_PAIRS = 100
-
-
-@dataclass(frozen=True)
-class SweepSettings:
-    """Shared knobs for sweep runs on synthetic data."""
-
-    n_points: int = 20000
-    pearson_threshold: float = 0.30
-    epochs: int = 300
-    background_size: int = 100
-    n_permutations: int = 1000
+# sweep_ws evaluates like a scenario repetition at the scenario defaults.
+_SPLIT_RATIO = ScenarioConfig.split_ratio
+_N_EVAL_PAIRS = ScenarioConfig.n_eval_pairs
+_BACKGROUND_SIZE = ScenarioConfig.background_size
 
 
 def write_sweep_csv(rows: list[dict], path: str | Path, config_hash: str | None = None) -> None:
@@ -54,11 +45,14 @@ def sweep_ws(
     ws_range: tuple[float, float],
     count: int,
     seed: int,
-    settings: SweepSettings | None = None,
+    *,
+    epochs: int,
+    n_permutations: int,
     p: float | None = None,
 ) -> list[dict]:
-    """Fit one logistic model, then report fairness for every overridden
-    sensitive weight on a uniform grid over ws_range.
+    """Fit one logistic model for `epochs`, then report fairness for every
+    overridden sensitive weight on a uniform grid over ws_range; p only
+    labels the rows.
 
     Expects feature-selected data (sensitive column tracked). The test
     split, evaluation pairs, and permutation seed are fixed across cells so
@@ -70,13 +64,12 @@ def sweep_ws(
         raise ValueError("ws_range must satisfy lo < hi")
     if count < 2:
         raise ValueError("count must be >= 2")
-    settings = settings or SweepSettings()
 
     train_ds, test_ds = split(data, _SPLIT_RATIO, seed_for(seed, _TAG_SPLIT))
-    params = linear_train(train_ds, epochs=settings.epochs, seed=seed_for(seed, _TAG_FIT))
+    params = linear_train(train_ds, epochs=epochs, seed=seed_for(seed, _TAG_FIT))
     pairs = select_eval_pairs(test_ds, _N_EVAL_PAIRS)
-    background = sample_background(train_ds, settings.background_size, seed_for(seed, _TAG_BG))
-    mmd_cfg = MmdConfig(n_permutations=settings.n_permutations, seed=seed_for(seed, _TAG_MMD))
+    background = sample_background(train_ds, _BACKGROUND_SIZE, seed_for(seed, _TAG_BG))
+    mmd_cfg = MmdConfig(n_permutations=n_permutations, seed=seed_for(seed, _TAG_MMD))
 
     ws_values = np.linspace(lo, hi, count)
     ws_normalized = 2.0 * (ws_values - lo) / (hi - lo) - 1.0
@@ -94,12 +87,16 @@ def sweep_p_ws(
     ws_range: tuple[float, float],
     counts: tuple[int, int],
     seed: int,
-    settings: SweepSettings | None = None,
+    *,
+    n_points: int,
+    pearson_threshold: float,
+    epochs: int,
+    n_permutations: int,
 ) -> list[dict]:
     """Full dataset-bias x decision-bias grid on synthetic data.
 
-    Each p gets a fresh synthetic dataset, feature selection, and one
-    logistic fit before its w_s row is swept. Rows run p-major: every w_s
+    Each p gets a fresh synthetic dataset of n_points, feature selection at
+    pearson_threshold, and one logistic fit before its w_s row is swept. Rows run p-major: every w_s
     of the first p, then of the next.
     """
     p_lo, p_hi = p_range
@@ -108,29 +105,31 @@ def sweep_p_ws(
     n_p, n_ws = counts
     if n_p < 2 or n_ws < 2:
         raise ValueError("grid counts must be >= 2")
-    settings = settings or SweepSettings()
 
     rows: list[dict] = []
     for i, p in enumerate(np.linspace(p_lo, p_hi, n_p)):
         data = generate_synthetic(
-            SyntheticConfig(p=float(p), n_points=settings.n_points, seed=seed_for(seed, _TAG_DATA, i))
+            SyntheticConfig(p=float(p), n_points=n_points, seed=seed_for(seed, _TAG_DATA, i))
         )
-        data = pearson_select(data, settings.pearson_threshold)
-        rows += sweep_ws(data, ws_range, n_ws, seed_for(seed, 100, i), settings, p=float(p))
+        data = pearson_select(data, pearson_threshold)
+        rows += sweep_ws(data, ws_range, n_ws, seed_for(seed, 100, i), epochs=epochs,
+                         n_permutations=n_permutations, p=float(p))
     return rows
 
 
 def p_sweep(
     p_range: tuple[float, float],
     count: int,
-    train_cfg: TrainConfig | None = None,
-    seed: int = 0,
-    settings: SweepSettings | None = None,
+    train_cfg: TrainConfig,
+    seed: int,
+    *,
+    n_points: int,
+    n_permutations: int,
 ) -> list[dict]:
     """Regularized MLP training across a grid of dataset-bias levels.
 
-    Each p is repetition 0 of a one-repetition synthetic scenario with
-    master seed `seed`, training train_cfg for settings.epochs. Returns one
+    Each p is repetition 0 of a one-repetition synthetic scenario of
+    n_points with master seed `seed`, training train_cfg. Returns one
     row per p: the training split's DP plus the trained model's accuracy,
     DP, and both procedural metrics on the test split. A failing p raises
     StageError naming its stage.
@@ -140,17 +139,13 @@ def p_sweep(
         raise ValueError("p_range must satisfy lo < hi")
     if count < 2:
         raise ValueError("count must be >= 2")
-    settings = settings or SweepSettings()
-    train_cfg = train_cfg or TrainConfig(mode="procedural", alpha=0.5)
 
     rows = []
     for p in np.linspace(lo, hi, count):
         cfg = ScenarioConfig(
             scenario_id="p_sweep", repetitions=1, master_seed=seed,
-            dataset={"kind": "synthetic", "p": float(p), "n": settings.n_points},
-            train={**asdict(train_cfg), "epochs": settings.epochs},
-            background_size=settings.background_size,
-            mmd={"n_permutations": settings.n_permutations},
+            dataset={"kind": "synthetic", "p": float(p), "n": n_points},
+            train=asdict(train_cfg), mmd={"n_permutations": n_permutations},
         )
         result = run_repetition(cfg, 0)
         r = result.report

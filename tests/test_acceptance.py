@@ -13,7 +13,7 @@ from scipy import stats as sstats
 
 from oracles import config_away_from_kinks, finite_diff_grads, max_rel_error, random_mlp
 from procfair.data import SyntheticConfig, dataset_dp, generate_synthetic, pearson_select
-from procfair.explain import exact_shapley, kernel_shap
+from procfair.explain import exact_shapley, kernel_shap_batch
 from procfair.fairness import MmdConfig, mmd_permutation_pvalue
 from procfair.model import bce_loss_grads, gpf_loss_grads, mlp_logits
 from procfair.pairing import PairSet
@@ -25,7 +25,7 @@ from procfair.scenarios import (
     run_repetition,
     run_scenario,
 )
-from procfair.sweeps import SweepSettings, p_sweep, sweep_ws
+from procfair.sweeps import p_sweep, sweep_ws
 from procfair.train import TrainConfig, dp_proxy_grads
 
 pytestmark = pytest.mark.acceptance
@@ -117,8 +117,8 @@ def test_criterion_04_inverse_training_and_significance():
 
 
 def test_criterion_05_dataset_bias_sweep_trend():
-    rows = p_sweep((0.5, 0.65), 20, TrainConfig(mode="procedural", alpha=0.5),
-                   seed=2, settings=SweepSettings())
+    rows = p_sweep((0.5, 0.65), 20, TrainConfig(mode="procedural", alpha=0.5), seed=2,
+                   n_points=SyntheticConfig.n_points, n_permutations=MmdConfig.n_permutations)
     ps = [r["p"] for r in rows]
     dps = [r["dp"] for r in rows]
     gpfs = [r["gpf_fae"] for r in rows]
@@ -131,7 +131,8 @@ def test_criterion_05_dataset_bias_sweep_trend():
 def test_criterion_06_sensitive_weight_sweep_shapes():
     data = generate_synthetic(SyntheticConfig(p=0.65, n_points=20000, seed=1))
     data = pearson_select(data, 0.30)
-    rows = sweep_ws(data, (-5.0, 5.0), 101, seed=5, settings=SweepSettings(), p=0.65)
+    rows = sweep_ws(data, (-5.0, 5.0), 101, seed=5, epochs=TrainConfig.epochs,
+                    n_permutations=MmdConfig.n_permutations, p=0.65)
     ws = np.array([r["ws"] for r in rows])
     dp = np.array([r["dp"] for r in rows])
     gpf = np.array([r["gpf_fae"] for r in rows])
@@ -204,9 +205,9 @@ def test_criterion_08_numerical_oracles():
         predict = lambda X: mlp_logits(params, X)
         x = rng.normal(size=d)
         bg = rng.normal(size=(15, d))
-        phi_k, _ = kernel_shap(predict, x, bg, budget="exhaustive")
+        phi_k, _ = kernel_shap_batch(predict, x[None], bg, budget="exhaustive")
         phi_e, _ = exact_shapley(predict, x, bg)
-        worst_shap = max(worst_shap, float(np.abs(phi_k - phi_e).max()))
+        worst_shap = max(worst_shap, float(np.abs(phi_k[0] - phi_e).max()))
 
     worst_eff = 0.0
     for _ in range(10):

@@ -141,6 +141,15 @@ def test_preprocess_sensitive_kept_as_feature_and_mirrored():
     assert ds.group_names == ("F", "M")
 
 
+@pytest.mark.parametrize("column, row, cell", [("x", 2, "nan"), ("x", 3, "-inf"), ("s", 2, "inf")])
+def test_preprocess_rejects_non_finite_numeric_cell(column, row, cell):
+    rows = [["1", "0", "1"], ["2", "1", "0"], ["3", "0", "1"]]
+    rows[row - 1][["x", "y", "s"].index(column)] = cell
+    schema = ColumnSchema(roles={"x": "feature", "y": "label", "s": "sensitive"}, advantaged="1")
+    with pytest.raises(ValueError, match=f"column '{column}' row {row}: non-finite value '{cell}'"):
+        preprocess(RawTable(columns=["x", "y", "s"], rows=rows), schema)
+
+
 def test_split_arithmetic_and_determinism():
     ds = Dataset(
         features=np.arange(20.0).reshape(10, 2),

@@ -4,7 +4,7 @@ from scipy.special import expit
 
 from oracles import per_row_coalition_values, random_mlp
 from procfair import explain
-from procfair.explain import exact_shapley, kernel_shap, kernel_shap_batch
+from procfair.explain import exact_shapley, kernel_shap_batch
 from procfair.model import LinearParams, MlpParams, mlp_init, mlp_logits
 
 
@@ -32,8 +32,8 @@ def test_kernel_shap_linear_closed_form():
     w = np.array([2.0, -1.0, 0.5])
     mu = np.array([[0.3, -0.2, 1.0]])
     x = np.array([1.0, 1.0, -1.0])
-    phi, base = kernel_shap(_linear_predict(w, b=0.7), x, mu)
-    np.testing.assert_allclose(phi, w * (x - mu[0]), atol=1e-10)
+    phi, base = kernel_shap_batch(_linear_predict(w, b=0.7), x[None], mu)
+    np.testing.assert_allclose(phi[0], w * (x - mu[0]), atol=1e-10)
     assert base == pytest.approx(float(mu[0] @ w + 0.7), abs=1e-12)
 
 
@@ -102,16 +102,16 @@ def test_kernel_shap_batch_model_rows(d, n, b):
 
 
 def test_kernel_shap_constant_model():
-    phi, base = kernel_shap(lambda X: np.full(np.atleast_2d(X).shape[0], 3.25),
-                            np.array([1.0, 2.0]), np.zeros((5, 2)))
+    phi, base = kernel_shap_batch(lambda X: np.full(np.atleast_2d(X).shape[0], 3.25),
+                                  np.array([[1.0, 2.0]]), np.zeros((5, 2)))
     np.testing.assert_allclose(phi, 0.0, atol=1e-10)
     assert base == pytest.approx(3.25)
 
 
 def test_kernel_shap_d1_analytic():
-    phi, base = kernel_shap(_linear_predict(np.array([2.0])), np.array([3.0]),
-                            np.array([[1.0]]))
-    assert phi[0] == pytest.approx(4.0, abs=1e-12)  # f(x) - f(mu)
+    phi, base = kernel_shap_batch(_linear_predict(np.array([2.0])), np.array([[3.0]]),
+                                  np.array([[1.0]]))
+    assert phi[0, 0] == pytest.approx(4.0, abs=1e-12)  # f(x) - f(mu)
     assert base == pytest.approx(2.0)
 
 
@@ -122,9 +122,9 @@ def test_kernel_shap_exhaustive_matches_exact_shapley():
         predict = lambda X: mlp_logits(params, X)
         x = rng.normal(size=d)
         background = rng.normal(size=(20, d))
-        phi_k, base_k = kernel_shap(predict, x, background, budget="exhaustive")
+        phi_k, base_k = kernel_shap_batch(predict, x[None], background, budget="exhaustive")
         phi_e, base_e = exact_shapley(predict, x, background)
-        np.testing.assert_allclose(phi_k, phi_e, atol=1e-6)
+        np.testing.assert_allclose(phi_k[0], phi_e, atol=1e-6)
         assert base_k == pytest.approx(base_e, abs=1e-12)
 
 
@@ -134,23 +134,24 @@ def test_kernel_shap_efficiency_exhaustive():
     predict = lambda X: mlp_logits(params, X)
     x = rng.normal(size=5)
     bg = rng.normal(size=(30, 5))
-    phi, base = kernel_shap(predict, x, bg)
-    assert phi.sum() + base == pytest.approx(float(predict(x[None])[0]), abs=1e-6)
+    phi, base = kernel_shap_batch(predict, x[None], bg)
+    assert phi[0].sum() + base == pytest.approx(float(predict(x[None])[0]), abs=1e-6)
 
 
 def test_kernel_shap_dummy_feature_zero():
     # feature 2 never influences the model: phi_2 = 0 under enumeration
     w = np.array([1.0, -2.0, 0.0])
     rng = np.random.default_rng(9)
-    phi, _ = kernel_shap(_linear_predict(w), rng.normal(size=3), rng.normal(size=(10, 3)))
-    assert abs(phi[2]) < 1e-10
+    phi, _ = kernel_shap_batch(_linear_predict(w), rng.normal(size=(1, 3)),
+                               rng.normal(size=(10, 3)))
+    assert abs(phi[0, 2]) < 1e-10
 
 
 def test_kernel_shap_budget_validation():
     with pytest.raises(ValueError, match="budget"):
-        kernel_shap(_linear_predict(np.ones(4)), np.ones(4), np.zeros((3, 4)), budget=3)
+        kernel_shap_batch(_linear_predict(np.ones(4)), np.ones((1, 4)), np.zeros((3, 4)), budget=3)
     with pytest.raises(ValueError, match="background"):
-        kernel_shap(_linear_predict(np.ones(2)), np.ones(2), np.zeros((0, 2)))
+        kernel_shap_batch(_linear_predict(np.ones(2)), np.ones((1, 2)), np.zeros((0, 2)))
 
 
 def test_kernel_shap_sampled_budget_consistency():
@@ -165,8 +166,8 @@ def test_kernel_shap_sampled_budget_consistency():
     for budget in (64, 256):
         errs = []
         for seed in range(6):
-            phi, _ = kernel_shap(predict, x, bg, budget=budget, seed=seed)
-            errs.append(np.abs(phi - phi_exact).mean())
+            phi, _ = kernel_shap_batch(predict, x[None], bg, budget=budget, seed=seed)
+            errs.append(np.abs(phi[0] - phi_exact).mean())
         devs[budget] = np.mean(errs)
     assert devs[256] < devs[64]
 
@@ -196,10 +197,10 @@ def test_kernel_shap_deterministic_per_seed():
     predict = lambda X: mlp_logits(params, X)
     x = rng.normal(size=d)
     bg = rng.normal(size=(8, d))
-    a, _ = kernel_shap(predict, x, bg, budget=200, seed=7)
-    b, _ = kernel_shap(predict, x, bg, budget=200, seed=7)
+    a, _ = kernel_shap_batch(predict, x[None], bg, budget=200, seed=7)
+    b, _ = kernel_shap_batch(predict, x[None], bg, budget=200, seed=7)
     np.testing.assert_array_equal(a, b)
-    c, _ = kernel_shap(predict, x, bg, budget=200, seed=8)
+    c, _ = kernel_shap_batch(predict, x[None], bg, budget=200, seed=8)
     assert not np.array_equal(a, c)
 
 
@@ -242,6 +243,6 @@ def test_shap_explanations_batch():
     assert phi.shape == (7, 4)
     # batch output equals row-by-row calls
     for r in range(7):
-        phi_r, base_r = kernel_shap(params.logits, rows[r], bg)
-        np.testing.assert_allclose(phi[r], phi_r, atol=1e-10)
+        phi_r, base_r = kernel_shap_batch(params.logits, rows[r][None], bg)
+        np.testing.assert_allclose(phi[r], phi_r[0], atol=1e-10)
         assert base_r == base

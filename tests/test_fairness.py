@@ -102,7 +102,7 @@ def test_gpf_loss_values():
 def test_mmd_identical_multisets_is_zero():
     rng = np.random.default_rng(3)
     e = rng.normal(size=(20, 4))
-    assert mmd_permutation_pvalue(e, e.copy())[1] <= 1e-12
+    assert mmd_permutation_pvalue(e, e.copy(), MmdConfig())[1] <= 1e-12
 
 
 def test_mmd_singleton_closed_form():
@@ -140,7 +140,7 @@ def test_mmd_shrinks_for_same_distribution_samples():
 
 def test_mmd_all_identical_points():
     e = np.ones((6, 2))
-    assert mmd_permutation_pvalue(e, np.ones((4, 2)))[1] == 0.0
+    assert mmd_permutation_pvalue(e, np.ones((4, 2)), MmdConfig())[1] == 0.0
 
 
 def test_permutation_pvalue_identical_sets_exactly_one():
@@ -259,7 +259,8 @@ def _explanation_pair(draw):
 @given(_explanation_pair())
 def test_mmd_property_symmetric_and_zero_on_itself(pair):
     a, b = pair
-    observed = mmd_permutation_pvalue(a, b)[1]
-    assert observed == pytest.approx(mmd_permutation_pvalue(b, a)[1], rel=1e-9, abs=1e-9)
-    assert mmd_permutation_pvalue(a, a)[1] == 0.0
+    cfg = MmdConfig()
+    observed = mmd_permutation_pvalue(a, b, cfg)[1]
+    assert observed == pytest.approx(mmd_permutation_pvalue(b, a, cfg)[1], rel=1e-9, abs=1e-9)
+    assert mmd_permutation_pvalue(a, a, cfg)[1] == 0.0
     assert observed >= 0.0

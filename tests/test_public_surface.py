@@ -9,7 +9,7 @@ import procfair
 SRC = Path(procfair.__file__).parent
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 # Oracles of the acceptance tests: exported for them, used by no module.
-ORACLES = {"exact_shapley", "kernel_shap"}
+ORACLES = {"exact_shapley"}
 
 
 def _exports() -> set[str]:

@@ -194,6 +194,21 @@ def test_run_repetition_stage_error_type():
     assert err.value.stage == "dataset"
 
 
+def test_non_finite_csv_cell_fails_at_dataset_stage(tmp_path):
+    rng = np.random.default_rng(0)
+    lines = ["a,b,y,s"] + [f"{rng.normal()!r},{rng.normal()!r},{i % 2},{i // 2 % 2}"
+                           for i in range(40)]
+    lines[7] = "nan" + lines[7][lines[7].index(","):]  # data row 7, column a
+    (tmp_path / "d.csv").write_text("\n".join(lines) + "\n")
+    roles = {"a": "feature", "b": "feature", "y": "label", "s": "sensitive"}
+    (tmp_path / "d.schema.json").write_text(json.dumps({"roles": roles, "advantaged": "1"}))
+    cfg = small_scenario(dataset={"kind": "csv", "path": str(tmp_path / "d.csv"),
+                                  "schema": str(tmp_path / "d.schema.json")})
+    with pytest.raises(StageError, match="column 'a' row 7: non-finite value 'nan'") as err:
+        prepare_repetition(cfg, 0)
+    assert err.value.stage == "dataset"
+
+
 def test_prepare_repetition_matches_run(tmp_path):
     cfg = small_scenario()
     train_ds, test_ds, pairs, background, mmd_cfg = prepare_repetition(cfg, 0)

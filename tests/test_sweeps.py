@@ -9,11 +9,10 @@ from procfair.explain import kernel_shap_batch
 from procfair.model import LinearParams, override_sensitive_weight
 from procfair.fairness import MmdConfig, mmd_permutation_pvalue
 from procfair.scenarios import ScenarioConfig, run_repetition
-from procfair.sweeps import SweepSettings, p_sweep, sweep_p_ws, sweep_ws, write_sweep_csv
+from procfair.sweeps import p_sweep, sweep_p_ws, sweep_ws, write_sweep_csv
 from procfair.train import TrainConfig
 from procfair.util import seed_for
 
-FAST = SweepSettings(n_points=3000, epochs=200, n_permutations=300, background_size=60)
 ROW_KEYS = ["p", "ws", "ws_normalized", "dp", "gpf_fae", "acc"]
 
 
@@ -21,7 +20,7 @@ ROW_KEYS = ["p", "ws", "ws_normalized", "dp", "gpf_fae", "acc"]
 def ws_rows():
     data = generate_synthetic(SyntheticConfig(p=0.65, n_points=3000, seed=4))
     data = pearson_select(data, 0.30)
-    return sweep_ws(data, (-4.0, 4.0), 17, seed=6, settings=FAST, p=0.65)
+    return sweep_ws(data, (-4.0, 4.0), 17, seed=6, epochs=200, n_permutations=300, p=0.65)
 
 
 def _column(rows, key):
@@ -57,23 +56,22 @@ def test_sweep_ws_normalization_record(ws_rows):
 def test_sweep_ws_cell_reproducibility():
     data = generate_synthetic(SyntheticConfig(p=0.6, n_points=1500, seed=7))
     data = pearson_select(data, 0.30)
-    small = SweepSettings(n_points=1500, epochs=120, n_permutations=150, background_size=40)
-    a = sweep_ws(data, (-2.0, 2.0), 5, seed=3, settings=small)
-    b = sweep_ws(data, (-2.0, 2.0), 5, seed=3, settings=small)
+    a = sweep_ws(data, (-2.0, 2.0), 5, seed=3, epochs=120, n_permutations=150)
+    b = sweep_ws(data, (-2.0, 2.0), 5, seed=3, epochs=120, n_permutations=150)
     assert a == b
 
 
 def test_sweep_ws_validation(ws_rows):
     data = generate_synthetic(SyntheticConfig(p=0.6, n_points=200, seed=1))
     with pytest.raises(ValueError, match="lo < hi"):
-        sweep_ws(data, (2.0, -2.0), 5, seed=0)
+        sweep_ws(data, (2.0, -2.0), 5, seed=0, epochs=5, n_permutations=100)
     with pytest.raises(ValueError, match="count"):
-        sweep_ws(data, (-2.0, 2.0), 1, seed=0)
+        sweep_ws(data, (-2.0, 2.0), 1, seed=0, epochs=5, n_permutations=100)
 
 
 def test_sweep_p_ws_grid_and_planes():
-    small = SweepSettings(n_points=2000, epochs=150, n_permutations=150, background_size=40)
-    rows = sweep_p_ws((0.35, 0.65), (-3.0, 3.0), (3, 21), seed=11, settings=small)
+    rows = sweep_p_ws((0.35, 0.65), (-3.0, 3.0), (3, 21), seed=11, n_points=2000,
+                      pearson_threshold=0.30, epochs=150, n_permutations=150)
     assert len(rows) == 63 and all(list(r) == ROW_KEYS for r in rows)
     # p-major: each fixed-p plane is 21 consecutive rows over the same w_s grid
     planes = [rows[i * 21:(i + 1) * 21] for i in range(3)]
@@ -90,20 +88,20 @@ def test_sweep_p_ws_grid_and_planes():
 
 def test_sweep_p_ws_rows_are_sweep_ws_rows_per_p():
     # oracle: the grid is sweep_ws on each p's own dataset, concatenated
-    small = SweepSettings(n_points=800, pearson_threshold=0.25, epochs=60,
-                          n_permutations=100, background_size=30)
-    rows = sweep_p_ws((0.4, 0.6), (-2.0, 2.0), (3, 4), seed=5, settings=small)
+    rows = sweep_p_ws((0.4, 0.6), (-2.0, 2.0), (3, 4), seed=5, n_points=800,
+                      pearson_threshold=0.25, epochs=60, n_permutations=100)
     expected = []
     for i, p in enumerate(np.linspace(0.4, 0.6, 3)):
         data = generate_synthetic(SyntheticConfig(p=float(p), n_points=800, seed=seed_for(5, 0, i)))
         data = pearson_select(data, 0.25)
-        expected += sweep_ws(data, (-2.0, 2.0), 4, seed_for(5, 100, i), small, p=float(p))
+        expected += sweep_ws(data, (-2.0, 2.0), 4, seed_for(5, 100, i), epochs=60,
+                             n_permutations=100, p=float(p))
     assert rows == expected
 
 
 def test_sweep_grid_csv(tmp_path):
-    small = SweepSettings(n_points=1200, epochs=100, n_permutations=150, background_size=30)
-    rows = sweep_p_ws((0.45, 0.55), (-1.0, 1.0), (2, 3), seed=2, settings=small)
+    rows = sweep_p_ws((0.45, 0.55), (-1.0, 1.0), (2, 3), seed=2, n_points=1200,
+                      pearson_threshold=0.30, epochs=100, n_permutations=150)
     path = tmp_path / "grid.csv"
     write_sweep_csv(rows, path, config_hash="h")
     lines = path.read_text().strip().splitlines()
@@ -113,8 +111,8 @@ def test_sweep_grid_csv(tmp_path):
 
 
 def test_p_sweep_trend_small_scale():
-    rows = p_sweep((0.5, 0.65), 4, TrainConfig(mode="procedural", alpha=0.5),
-                   seed=9, settings=FAST)
+    rows = p_sweep((0.5, 0.65), 4, TrainConfig(mode="procedural", alpha=0.5, epochs=200),
+                   seed=9, n_points=3000, n_permutations=300)
     assert [r["p"] for r in rows] == pytest.approx([0.5, 0.55, 0.6, 0.65])
     assert rows[-1]["dataset_dp"] > rows[0]["dataset_dp"]
     assert all(r["gpf_fae"] >= 0.8 for r in rows)
@@ -122,14 +120,13 @@ def test_p_sweep_trend_small_scale():
 
 def test_p_sweep_row_is_the_scenario_repetition():
     # oracle: each p is repetition 0 of a one-repetition synthetic scenario
-    small = SweepSettings(n_points=800, epochs=40, n_permutations=100, background_size=30)
-    rows = p_sweep((0.5, 0.6), 2, TrainConfig(mode="procedural", alpha=0.5, hidden=8),
-                   seed=4, settings=small)
+    rows = p_sweep((0.5, 0.6), 2, TrainConfig(mode="procedural", alpha=0.5, hidden=8, epochs=40),
+                   seed=4, n_points=800, n_permutations=100)
     for row, p in zip(rows, np.linspace(0.5, 0.6, 2)):
         cfg = ScenarioConfig(
             scenario_id="oracle", dataset={"kind": "synthetic", "p": float(p), "n": 800},
             train={"mode": "procedural", "alpha": 0.5, "hidden": 8, "epochs": 40},
-            background_size=30, mmd={"n_permutations": 100}, repetitions=1, master_seed=4,
+            mmd={"n_permutations": 100}, repetitions=1, master_seed=4,
         )
         result = run_repetition(cfg, 0)
         r = result.report
