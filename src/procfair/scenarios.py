@@ -179,9 +179,8 @@ class ResultBundle:
 
 def _make_dataset(spec: dict, seed: int) -> Dataset:
     if spec["kind"] == "synthetic":
-        return generate_synthetic(
-            SyntheticConfig(p=spec["p"], n_points=spec.get("n", SyntheticConfig.n_points), seed=seed)
-        )
+        n = spec.get("n", SyntheticConfig.n_points)
+        return generate_synthetic(SyntheticConfig(p=spec["p"], n_points=n, seed=seed))
     schema = ColumnSchema.from_json(spec["schema"])
     return preprocess(load_csv(spec["path"], schema), schema)
 

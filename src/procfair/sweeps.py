@@ -96,8 +96,8 @@ def sweep_p_ws(
     """Full dataset-bias x decision-bias grid on synthetic data.
 
     Each p gets a fresh synthetic dataset of n_points, feature selection at
-    pearson_threshold, and one logistic fit before its w_s row is swept. Rows run p-major: every w_s
-    of the first p, then of the next.
+    pearson_threshold, and one logistic fit before its w_s row is swept.
+    Rows run p-major: every w_s of the first p, then of the next.
     """
     p_lo, p_hi = p_range
     if not p_lo < p_hi:
