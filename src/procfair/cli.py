@@ -11,18 +11,18 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .data import (SyntheticConfig, dataset_dp, export_schema, generate_synthetic,
-                   pearson_select, write_csv)
+from .data import (SyntheticConfig, _check_pearson_threshold, dataset_dp, export_schema,
+                   generate_synthetic, pearson_select, write_csv)
 from .fairness import MmdConfig
 from .model import load_params, save_params
 from .scenarios import (
     ResultBundle,
     ScenarioConfig,
-    StageError,
     compare_scenarios,
     emit_sensitive_attributions,
     list_presets,
@@ -31,12 +31,9 @@ from .scenarios import (
     run_repetition,
     run_scenario,
 )
-from .sweeps import p_sweep, sweep_p_ws, sweep_ws, write_sweep_csv
+from .sweeps import _grid, p_sweep, sweep_p_ws, sweep_ws, write_sweep_csv
 from .train import TrainConfig, evaluate
 from .util import atomic_write_json, config_hash
-
-
-import re
 
 
 class _Parser(argparse.ArgumentParser):
@@ -69,27 +66,27 @@ def _flag_checked(flag: str, build):
         raise ValueError(f"argument {flag}: {exc}") from None
 
 
-def _parse_range(text: str) -> tuple[float, float, int]:
-    """Parse 'lo:hi:count' grid specs."""
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"range must look like lo:hi:count, got {text!r}")
-    lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-    if count < 2:
-        raise ValueError("range count must be >= 2")
-    return lo, hi, count
+def _parse_range(flag: str, text: str) -> tuple[tuple[float, float], int]:
+    """((lo, hi), count) of a 'lo:hi:count' flag, checked as a sweep checks it."""
+    def parse():
+        parts = text.split(":")
+        if len(parts) != 3:
+            raise ValueError(f"range must look like lo:hi:count, got {text!r}")
+        bounds, count = (float(parts[0]), float(parts[1])), int(parts[2])
+        _grid(bounds, count)
+        return bounds, count
+    return _flag_checked(flag, parse)
 
 
 def _load_scenario(args) -> ScenarioConfig:
-    if getattr(args, "preset", None):
+    """The config of --preset or --config, with --seed as its master seed."""
+    if args.preset:
         cfg = ScenarioConfig.from_dict(load_preset(args.preset))
-    elif getattr(args, "config", None):
+    elif args.config:
         cfg = ScenarioConfig.from_json(args.config)
     else:
         raise ValueError("provide --config FILE or --preset NAME")
-    if getattr(args, "reps", None) is not None:
-        cfg = _flag_checked("--reps", lambda: replace(cfg, repetitions=args.reps))
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg = replace(cfg, master_seed=args.seed)
     return cfg
 
@@ -142,6 +139,8 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_scenario_run(args) -> int:
     cfg = _load_scenario(args)
+    if args.reps is not None:
+        cfg = _flag_checked("--reps", lambda: replace(cfg, repetitions=args.reps))
     out_dir = _out_dir(args)
     bundle_path = out_dir / f"{cfg.scenario_id}.bundle.json"
     if bundle_path.exists() and not args.force:
@@ -178,56 +177,52 @@ def _cmd_scenario_compare(args) -> int:
     return 0
 
 
-def _check_sweep_flags(args, **train_fields) -> TrainConfig:
-    """Check the common sweep flags, each against the config that owns its
-    default, before any data is made or model fitted. Returns the
-    TrainConfig of --epochs and train_fields, which sweep p trains with."""
+def _check_sweep_flags(args) -> None:
+    """Check the common sweep flags before any data is made or model fitted."""
     _flag_checked("--n", lambda: SyntheticConfig(p=0.5, n_points=args.n))
-    cfg = _flag_checked("--epochs", lambda: TrainConfig(epochs=args.epochs, **train_fields))
+    _flag_checked("--epochs", lambda: TrainConfig(epochs=args.epochs))
     _flag_checked("--perms", lambda: MmdConfig(n_permutations=args.perms))
-    return cfg
+    if "pearson" in args:
+        _flag_checked("--pearson", lambda: _check_pearson_threshold(args.pearson))
 
 
-def _sweep_hash(args, cmd: str, **flags) -> str:
-    """config_hash of every flag a sweep command reads."""
-    return config_hash({"cmd": cmd, "n": args.n, "seed": args.seed, "epochs": args.epochs,
-                        "perms": args.perms, **flags})
+def _write_sweep(args, rows: list[dict], noun: str = "sweep") -> int:
+    """Write rows to --out, headed by the hash of every other flag, and report."""
+    flags = {k: v for k, v in vars(args).items()
+             if k not in ("command", "sweep_command", "func", "out")}
+    h = config_hash({"cmd": f"sweep_{args.sweep_command}", **flags})
+    write_sweep_csv(rows, args.out, config_hash=h)
+    print(f"wrote {len(rows)} {noun} rows to {args.out}")
+    return 0
 
 
 def _cmd_sweep_ws(args) -> int:
-    lo, hi, count = _parse_range(args.ws)
+    ws_range, count = _parse_range("--ws", args.ws)
     _check_sweep_flags(args)
     data = generate_synthetic(SyntheticConfig(p=args.p, n_points=args.n, seed=args.seed))
     data = pearson_select(data, args.pearson)
-    rows = sweep_ws(data, (lo, hi), count, args.seed, epochs=args.epochs,
+    rows = sweep_ws(data, ws_range, count, args.seed, epochs=args.epochs,
                     n_permutations=args.perms, p=args.p)
-    h = _sweep_hash(args, "sweep_ws", p=args.p, ws=args.ws, pearson=args.pearson)
-    write_sweep_csv(rows, args.out, config_hash=h)
-    print(f"wrote {len(rows)} sweep rows to {args.out}")
-    return 0
+    return _write_sweep(args, rows)
 
 
 def _cmd_sweep_p(args) -> int:
-    lo, hi, count = _parse_range(args.p)
-    cfg = _check_sweep_flags(args, mode="procedural", alpha=args.alpha)
-    rows = p_sweep((lo, hi), count, cfg, args.seed, n_points=args.n, n_permutations=args.perms)
-    h = _sweep_hash(args, "sweep_p", p=args.p, alpha=args.alpha)
-    write_sweep_csv(rows, args.out, config_hash=h)
-    print(f"wrote {len(rows)} sweep rows to {args.out}")
-    return 0
+    p_range, count = _parse_range("--p", args.p)
+    _check_sweep_flags(args)
+    cfg = _flag_checked(
+        "--alpha", lambda: TrainConfig(mode="procedural", alpha=args.alpha, epochs=args.epochs))
+    rows = p_sweep(p_range, count, cfg, args.seed, n_points=args.n, n_permutations=args.perms)
+    return _write_sweep(args, rows)
 
 
 def _cmd_sweep_grid(args) -> int:
-    p_lo, p_hi, p_count = _parse_range(args.p)
-    ws_lo, ws_hi, ws_count = _parse_range(args.ws)
+    p_range, p_count = _parse_range("--p", args.p)
+    ws_range, ws_count = _parse_range("--ws", args.ws)
     _check_sweep_flags(args)
-    rows = sweep_p_ws((p_lo, p_hi), (ws_lo, ws_hi), (p_count, ws_count), args.seed,
+    rows = sweep_p_ws(p_range, ws_range, (p_count, ws_count), args.seed,
                       n_points=args.n, pearson_threshold=args.pearson, epochs=args.epochs,
                       n_permutations=args.perms)
-    h = _sweep_hash(args, "sweep_grid", p=args.p, ws=args.ws, pearson=args.pearson)
-    write_sweep_csv(rows, args.out, config_hash=h)
-    print(f"wrote {len(rows)} grid rows to {args.out}")
-    return 0
+    return _write_sweep(args, rows, "grid")
 
 
 def _cmd_explain_dump(args) -> int:
@@ -263,38 +258,51 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="procfair", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", parents=[], help="generate a synthetic dataset CSV")
+    # Flag groups shared through parents=: the scenario to load, the
+    # repetition to run, the output directory, and the sweep settings.
+    scenario_flags = argparse.ArgumentParser(add_help=False)
+    scenario_flags.add_argument("--config", help="scenario config JSON")
+    scenario_flags.add_argument("--preset", help="built-in preset name")
+    scenario_flags.add_argument("--seed", type=_non_negative_int,
+                                help="override the config master seed")
+    rep_flag = argparse.ArgumentParser(add_help=False)
+    rep_flag.add_argument("--rep", type=_non_negative_int, default=0,
+                          help="repetition index to run")
+    out_dir_flag = argparse.ArgumentParser(add_help=False)
+    out_dir_flag.add_argument("--out", help="output directory (default: $PROCFAIR_OUT)")
+    sweep_flags = argparse.ArgumentParser(add_help=False)
+    sweep_flags.add_argument("--n", type=int, default=SyntheticConfig.n_points,
+                             help="synthetic points per dataset")
+    sweep_flags.add_argument("--seed", type=_non_negative_int, default=0)
+    sweep_flags.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    sweep_flags.add_argument("--perms", type=int, default=MmdConfig.n_permutations,
+                             help="permutation count")
+    sweep_flags.add_argument("--out", required=True, help="output CSV path")
+    pearson_flag = argparse.ArgumentParser(add_help=False)  # the sweeps that select features
+    pearson_flag.add_argument("--pearson", type=float, default=0.30,
+                              help="feature-selection threshold")
+
+    p = sub.add_parser("generate", help="generate a synthetic dataset CSV")
     p.add_argument("--p", type=float, required=True, help="group-bias parameter in [0,1]")
     p.add_argument("--n", type=int, default=SyntheticConfig.n_points)
     p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_generate)
 
-    p = sub.add_parser("train", help="train one model from a scenario config")
-    p.add_argument("--config", help="scenario config JSON")
-    p.add_argument("--preset", help="built-in preset name")
-    p.add_argument("--seed", type=_non_negative_int, help="override the config master seed")
-    p.add_argument("--rep", type=_non_negative_int, default=0, help="repetition index to run")
-    p.add_argument("--out", help="output directory (default: $PROCFAIR_OUT)")
+    p = sub.add_parser("train", parents=[scenario_flags, rep_flag, out_dir_flag],
+                       help="train one model from a scenario config")
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("evaluate", help="evaluate a saved model on a scenario's test split")
+    p = sub.add_parser("evaluate", parents=[scenario_flags, rep_flag, out_dir_flag],
+                       help="evaluate a saved model on a scenario's test split")
     p.add_argument("--model", required=True, help="model JSON path")
-    p.add_argument("--config", help="scenario config JSON")
-    p.add_argument("--preset", help="built-in preset name")
-    p.add_argument("--seed", type=_non_negative_int, help="override the config master seed")
-    p.add_argument("--rep", type=_non_negative_int, default=0)
-    p.add_argument("--out", help="output directory (default: $PROCFAIR_OUT)")
     p.set_defaults(func=_cmd_evaluate)
 
     scen = sub.add_parser("scenario", help="multi-repetition experiment bundles")
     scen_sub = scen.add_subparsers(dest="scenario_command", required=True)
-    p = scen_sub.add_parser("run", help="run all repetitions and write a bundle")
-    p.add_argument("--config", help="scenario config JSON")
-    p.add_argument("--preset", help="built-in preset name")
-    p.add_argument("--out", help="output directory (default: $PROCFAIR_OUT)")
+    p = scen_sub.add_parser("run", parents=[scenario_flags, out_dir_flag],
+                            help="run all repetitions and write a bundle")
     p.add_argument("--reps", type=int, help="override repetition count")
-    p.add_argument("--seed", type=_non_negative_int, help="override master seed")
     p.add_argument("--force", action="store_true",
                    help="overwrite an existing bundle in the output directory")
     p.set_defaults(func=_cmd_scenario_run)
@@ -307,45 +315,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="bias-interaction sweeps")
     sweep_sub = sweep.add_subparsers(dest="sweep_command", required=True)
-
-    def _common_sweep_flags(sp, pearson: bool = True):
-        sp.add_argument("--n", type=int, default=SyntheticConfig.n_points,
-                        help="synthetic points per dataset")
-        sp.add_argument("--seed", type=_non_negative_int, default=0)
-        if pearson:  # only the logistic-model sweeps select features
-            sp.add_argument("--pearson", type=float, default=0.30,
-                            help="feature-selection threshold")
-        sp.add_argument("--epochs", type=int, default=TrainConfig.epochs)
-        sp.add_argument("--perms", type=int, default=MmdConfig.n_permutations,
-                        help="permutation count")
-        sp.add_argument("--out", required=True, help="output CSV path")
-
-    p = sweep_sub.add_parser("ws", help="sensitive-weight sweep at fixed dataset bias")
+    p = sweep_sub.add_parser("ws", parents=[sweep_flags, pearson_flag],
+                             help="sensitive-weight sweep at fixed dataset bias")
     p.add_argument("--p", type=float, default=0.65)
     p.add_argument("--ws", default="-5:5:101", help="lo:hi:count grid")
-    _common_sweep_flags(p)
     p.set_defaults(func=_cmd_sweep_ws)
 
-    p = sweep_sub.add_parser("p", help="dataset-bias sweep with regularized training")
+    p = sweep_sub.add_parser("p", parents=[sweep_flags],
+                             help="dataset-bias sweep with regularized training")
     p.add_argument("--p", default="0.5:0.65:20", help="lo:hi:count grid")
     p.add_argument("--alpha", type=float, default=0.5, help="regularizer weight")
-    _common_sweep_flags(p, pearson=False)
     p.set_defaults(func=_cmd_sweep_p)
 
-    p = sweep_sub.add_parser("grid", help="full p x ws grid")
+    p = sweep_sub.add_parser("grid", parents=[sweep_flags, pearson_flag],
+                             help="full p x ws grid")
     p.add_argument("--p", default="0.3:0.7:50", help="lo:hi:count grid")
     p.add_argument("--ws", default="-5:5:50", help="lo:hi:count grid")
-    _common_sweep_flags(p)
     p.set_defaults(func=_cmd_sweep_grid)
 
     expl = sub.add_parser("explain", help="attribution dumps")
     expl_sub = expl.add_subparsers(dest="explain_command", required=True)
-    p = expl_sub.add_parser("dump", help="per-point sensitive-attribute SHAP values")
-    p.add_argument("--config", help="scenario config JSON")
-    p.add_argument("--preset", help="built-in preset name")
+    p = expl_sub.add_parser("dump", parents=[scenario_flags, rep_flag],
+                            help="per-point sensitive-attribute SHAP values")
     p.add_argument("--model", help="saved model JSON (default: train per config)")
-    p.add_argument("--rep", type=_non_negative_int, default=0)
-    p.add_argument("--seed", type=_non_negative_int, help="override master seed")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_explain_dump)
 
@@ -370,9 +362,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except StageError as exc:
-        print(f"runtime failure: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:  # anything unexpected is a runtime failure
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2

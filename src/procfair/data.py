@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fairness import demographic_parity
+from .fairness import _advantaged, demographic_parity
 from .util import atomic_write_csv, atomic_write_json, from_fields
 
 ROLE_FEATURE = "feature"
@@ -379,18 +379,20 @@ def attach_fake_sensitive(data: Dataset, seed: int) -> Dataset:
     )
 
 
+def _check_pearson_threshold(threshold: float) -> None:
+    if not 0.0 < threshold <= 1.0:
+        raise ValueError("threshold must lie in (0, 1]")
+
+
 def pearson_select(data: Dataset, threshold: float) -> Dataset:
     """Keep the sensitive attribute plus every feature whose |Pearson r|
     against group membership is below threshold; order preserved."""
-    if not 0.0 < threshold <= 1.0:
-        raise ValueError("threshold must lie in (0, 1]")
+    _check_pearson_threshold(threshold)
     if data.sensitive_col is None:
         raise ValueError("dataset has no sensitive column to select against")
+    _advantaged(data.group)  # both groups must have rows
     g = data.group.astype(np.float64)
-    g_sd = g.std()
-    if g_sd < _ZERO_VAR_TOL:
-        raise ValueError("both groups must be non-empty")
-    gc = (g - g.mean()) / g_sd
+    gc = (g - g.mean()) / g.std()
     keep = []
     for j in range(data.n_features):
         if j == data.sensitive_col:

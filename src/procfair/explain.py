@@ -11,7 +11,6 @@ from typing import Callable
 
 import numpy as np
 
-EXHAUSTIVE = "exhaustive"
 # Exhaustive coalition enumeration stays cheap up to this many features;
 # beyond it the solver samples this many coalitions.
 _EXHAUSTIVE_MAX_D = 11
@@ -87,16 +86,16 @@ def kernel_shap_batch(
     predict: Callable[[np.ndarray], np.ndarray],
     X: np.ndarray,
     background: np.ndarray,
-    budget: int | str | None = None,
+    budget: int | None = None,
     seed: int = 0,
 ) -> tuple[np.ndarray, float]:
     """KernelSHAP attributions for every row of X against one background.
 
     Solves the Shapley-kernel weighted least squares with the empty and full
     coalitions enforced exactly (base value and efficiency constraints).
-    budget None picks exhaustive enumeration for d <= 11 and a sampled
-    budget of 2048 coalitions otherwise; an integer >= 2^d - 2 also
-    triggers exhaustive enumeration. Coalition values are evaluated in
+    A budget >= 2^d - 2 enumerates every coalition; a smaller one (at
+    least d + 2) samples that many. budget None enumerates for d <= 11
+    and samples 2048 coalitions otherwise. Coalition values are evaluated in
     cache-sized blocks across all rows of X (see _coalition_values); the
     results do not depend on the block size.
     """
@@ -112,13 +111,13 @@ def kernel_shap_batch(
         return (fx - base)[:, None], base
 
     if budget is None:
-        budget = EXHAUSTIVE if d <= _EXHAUSTIVE_MAX_D else _DEFAULT_SAMPLE_BUDGET
-    if budget == EXHAUSTIVE or (isinstance(budget, (int, np.integer)) and budget >= 2**d - 2):
+        budget = 2**d - 2 if d <= _EXHAUSTIVE_MAX_D else _DEFAULT_SAMPLE_BUDGET
+    if not isinstance(budget, (int, np.integer)) or budget < min(d + 2, 2**d - 2):
+        raise ValueError(f"budget must be an integer >= min(d + 2, 2^d - 2), got {budget!r}")
+    if budget >= 2**d - 2:
         masks = _exhaustive_masks(d)
         weights = _kernel_weights(masks)
     else:
-        if not isinstance(budget, (int, np.integer)) or budget < d + 2:
-            raise ValueError(f"budget must be 'exhaustive' or an integer >= d + 2, got {budget!r}")
         masks = _sampled_masks(d, int(budget), np.random.default_rng(seed))
         weights = np.ones(masks.shape[0], dtype=np.float64)
 

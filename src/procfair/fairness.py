@@ -72,10 +72,16 @@ class FairnessReport:
         atomic_write_json(path, {**head, **self.to_dict()}, indent=2)
 
 
-def _rates(values: np.ndarray, group: np.ndarray) -> tuple[float, float]:
+def _advantaged(group: np.ndarray) -> np.ndarray:
+    """Mask of the s1 rows; ValueError unless both groups have rows."""
     adv = np.asarray(group) == 1
     if not adv.any() or adv.all():
         raise ValueError("both groups must be non-empty")
+    return adv
+
+
+def _rates(values: np.ndarray, group: np.ndarray) -> tuple[float, float]:
+    adv = _advantaged(group)
     values = np.asarray(values, dtype=np.float64)
     return float(values[adv].mean()), float(values[~adv].mean())
 
@@ -94,38 +100,30 @@ def disparate_impact(preds: np.ndarray, group: np.ndarray) -> float | None:
     return r1 / r2
 
 
-def _tpr_fpr(preds, labels, mask) -> tuple[float | None, float | None]:
-    p = np.asarray(preds)[mask]
-    y = np.asarray(labels)[mask]
-    pos = y == 1
-    neg = ~pos
-    tpr = float(p[pos].mean()) if pos.any() else None
-    fpr = float(p[neg].mean()) if neg.any() else None
-    return tpr, fpr
+def _rate_gaps(preds, labels, group) -> tuple[float | None, float | None]:
+    """(|TPR_s1 - TPR_s2|, |FPR_s1 - FPR_s2|); a gap is None when a group
+    has no positives (TPR) or no negatives (FPR)."""
+    adv = _advantaged(group)
+    p = np.asarray(preds)
+    pos = np.asarray(labels) == 1
+    gaps = []
+    for cls in (pos, ~pos):
+        p1, p2 = p[adv & cls], p[~adv & cls]
+        gaps.append(abs(float(p1.mean()) - float(p2.mean())) if p1.size and p2.size else None)
+    return gaps[0], gaps[1]
 
 
 def equal_opportunity(preds, labels, group) -> float | None:
     """|TPR_s1 - TPR_s2|; None when a group has no positives."""
-    adv = np.asarray(group) == 1
-    if not adv.any() or adv.all():
-        raise ValueError("both groups must be non-empty")
-    t1, _ = _tpr_fpr(preds, labels, adv)
-    t2, _ = _tpr_fpr(preds, labels, ~adv)
-    if t1 is None or t2 is None:
-        return None
-    return abs(t1 - t2)
+    return _rate_gaps(preds, labels, group)[0]
 
 
 def equalized_odds(preds, labels, group) -> float | None:
     """max(|TPR gap|, |FPR gap|); None when any needed rate is undefined."""
-    adv = np.asarray(group) == 1
-    if not adv.any() or adv.all():
-        raise ValueError("both groups must be non-empty")
-    t1, f1 = _tpr_fpr(preds, labels, adv)
-    t2, f2 = _tpr_fpr(preds, labels, ~adv)
-    if None in (t1, f1, t2, f2):
+    tpr_gap, fpr_gap = _rate_gaps(preds, labels, group)
+    if tpr_gap is None or fpr_gap is None:
         return None
-    return max(abs(t1 - t2), abs(f1 - f2))
+    return max(tpr_gap, fpr_gap)
 
 
 def _attr_matrix(e) -> np.ndarray:
@@ -140,50 +138,40 @@ def gpf_loss(e1, e2) -> float:
     return float(np.abs(a1 - a2).sum(axis=1).mean())
 
 
-def _kernel_matrix(pooled: np.ndarray, cfg: MmdConfig) -> tuple[np.ndarray | None, float]:
-    """(kernel matrix, bandwidth); (None, 0.0) when all points are identical."""
-    dists = pdist(pooled)
-    if cfg.bandwidth is not None:
-        sigma = cfg.bandwidth
-    else:
-        sigma = float(np.median(dists)) if dists.size else 0.0
+def _mmd_setup(e1, e2, cfg: MmdConfig):
+    """Pool two explanation sets: (K, total, row_sums, n, observed MMD^2),
+    with K the kernel matrix of the pooled rows and n the size of the first
+    set, or None when every pooled point is identical."""
+    a1, a2 = _attr_matrix(e1), _attr_matrix(e2)
+    if a1.shape[0] == 0 or a2.shape[0] == 0:
+        raise ValueError("both explanation sets must be non-empty")
+    n = a1.shape[0]
+    dists = pdist(np.vstack([a1, a2]))
+    sigma = cfg.bandwidth if cfg.bandwidth is not None else float(np.median(dists))
     if sigma == 0.0:
-        return None, 0.0
+        return None
     D = squareform(dists)
     if cfg.kernel == "exponential":
         K = np.exp(-D / sigma)
     else:
         K = np.exp(-(D**2) / (2.0 * sigma**2))
-    return K, sigma
-
-
-def _mmd_from_indicator(K: np.ndarray, total: float, row_sums: np.ndarray, in_a: np.ndarray) -> float:
-    """Biased MMD^2 of the split given membership indicator in_a."""
-    n = int(in_a.sum())
-    m = in_a.shape[0] - n
-    q = float(in_a @ K @ in_a)
-    r = float(row_sums @ in_a)
-    stat = q / n**2 + (total - 2.0 * r + q) / m**2 - 2.0 * (r - q) / (n * m)
-    return stat if stat > _STAT_SNAP else 0.0
-
-
-def _mmd_setup(e1, e2, cfg: MmdConfig):
-    """Pool two explanation sets: (K, total, row_sums, n, observed MMD^2),
-    with n the size of the first set, or None when every pooled point is
-    identical."""
-    a1, a2 = _attr_matrix(e1), _attr_matrix(e2)
-    if a1.shape[0] == 0 or a2.shape[0] == 0:
-        raise ValueError("both explanation sets must be non-empty")
-    n = a1.shape[0]
-    pooled = np.vstack([a1, a2])
-    K, sigma = _kernel_matrix(pooled, cfg)
-    if sigma == 0.0:
-        return None
     total = float(K.sum())
     row_sums = K.sum(axis=1)
-    in_a = np.zeros(pooled.shape[0])
-    in_a[:n] = 1.0
-    return K, total, row_sums, n, _mmd_from_indicator(K, total, row_sums, in_a)
+    identity = np.arange(K.shape[0])[None] < n
+    return K, total, row_sums, n, float(_split_stats(identity, K, total, row_sums, n)[0])
+
+
+def _split_stats(splits: np.ndarray, K: np.ndarray, total: float, row_sums: np.ndarray,
+                 n: int) -> np.ndarray:
+    """Biased MMD^2 of every bool split row, whose n True entries mark the
+    first set; statistics at or below _STAT_SNAP read 0."""
+    m = K.shape[0] - n
+    U = splits.astype(np.float64)
+    q = ((U @ K) * U).sum(axis=1)
+    r = U @ row_sums
+    stats = q / n**2 + (total - 2.0 * r + q) / m**2 - 2.0 * (r - q) / (n * m)
+    stats[stats <= _STAT_SNAP] = 0.0
+    return stats
 
 
 @lru_cache(maxsize=1)
@@ -221,15 +209,10 @@ def mmd_permutation_pvalue(e1, e2, cfg: MmdConfig) -> tuple[float, float]:
     if setup is None:
         return 1.0, 0.0
     K, total, row_sums, n, observed = setup
-    m = K.shape[0] - n
 
     count = 0
-    for chunk in _permutation_splits(cfg.seed, n, m, cfg.n_permutations):
-        U = chunk.astype(np.float64)
-        q = ((U @ K) * U).sum(axis=1)
-        r = U @ row_sums
-        stats = q / n**2 + (total - 2.0 * r + q) / m**2 - 2.0 * (r - q) / (n * m)
-        stats[stats <= _STAT_SNAP] = 0.0
+    for chunk in _permutation_splits(cfg.seed, n, K.shape[0] - n, cfg.n_permutations):
+        stats = _split_stats(chunk, K, total, row_sums, n)
         count += int((stats >= observed).sum())
     return (1 + count) / (1 + cfg.n_permutations), observed
 

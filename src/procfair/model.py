@@ -25,6 +25,7 @@ import numpy as np
 from scipy.special import expit
 
 from .data import Dataset
+from .fairness import _advantaged
 from .pairing import PairSet
 from .util import atomic_write_json, from_fields
 
@@ -204,9 +205,7 @@ def _bce_term(p: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
 def _dp_term(p: np.ndarray, group: np.ndarray) -> tuple[float, np.ndarray]:
     """|mean probability over s1 - mean over s2| and its d(loss)/d(logit);
     the absolute value's subgradient is 0 at the kink."""
-    adv = np.asarray(group) == 1
-    if not adv.any() or adv.all():
-        raise ValueError("dp surrogate needs both groups in the batch")
+    adv = _advantaged(group)
     diff = float(p[adv].mean() - p[~adv].mean())
     sgn = np.sign(diff)
     dz = np.where(adv, sgn / adv.sum(), -sgn / (~adv).sum()) * p * (1.0 - p)

@@ -33,6 +33,15 @@ _N_EVAL_PAIRS = ScenarioConfig.n_eval_pairs
 _BACKGROUND_SIZE = ScenarioConfig.background_size
 
 
+def _grid(bounds: tuple[float, float], count: int) -> np.ndarray:
+    """np.linspace over a sweep range; ValueError unless lo < hi and count >= 2."""
+    if not bounds[0] < bounds[1]:
+        raise ValueError("range must satisfy lo < hi")
+    if count < 2:
+        raise ValueError("range count must be >= 2")
+    return np.linspace(*bounds, count)
+
+
 def write_sweep_csv(rows: list[dict], path: str | Path, config_hash: str | None = None) -> None:
     if not rows:
         raise ValueError("no sweep rows to write")
@@ -59,11 +68,8 @@ def sweep_ws(
     every cell is exactly reproducible. One row per w_s value; ws_normalized
     maps ws_range min-max onto [-1, 1].
     """
+    ws_values = _grid(ws_range, count)
     lo, hi = ws_range
-    if not lo < hi:
-        raise ValueError("ws_range must satisfy lo < hi")
-    if count < 2:
-        raise ValueError("count must be >= 2")
 
     train_ds, test_ds = split(data, _SPLIT_RATIO, seed_for(seed, _TAG_SPLIT))
     params = linear_train(train_ds, epochs=epochs, seed=seed_for(seed, _TAG_FIT))
@@ -71,7 +77,6 @@ def sweep_ws(
     background = sample_background(train_ds, _BACKGROUND_SIZE, seed_for(seed, _TAG_BG))
     mmd_cfg = MmdConfig(n_permutations=n_permutations, seed=seed_for(seed, _TAG_MMD))
 
-    ws_values = np.linspace(lo, hi, count)
     ws_normalized = 2.0 * (ws_values - lo) / (hi - lo) - 1.0
     rows = []
     for ws, ws_norm in zip(ws_values, ws_normalized):
@@ -99,15 +104,12 @@ def sweep_p_ws(
     pearson_threshold, and one logistic fit before its w_s row is swept.
     Rows run p-major: every w_s of the first p, then of the next.
     """
-    p_lo, p_hi = p_range
-    if not p_lo < p_hi:
-        raise ValueError("p_range must satisfy lo < hi")
     n_p, n_ws = counts
-    if n_p < 2 or n_ws < 2:
-        raise ValueError("grid counts must be >= 2")
+    p_values = _grid(p_range, n_p)
+    _grid(ws_range, n_ws)  # fail before the first dataset is made
 
     rows: list[dict] = []
-    for i, p in enumerate(np.linspace(p_lo, p_hi, n_p)):
+    for i, p in enumerate(p_values):
         data = generate_synthetic(
             SyntheticConfig(p=float(p), n_points=n_points, seed=seed_for(seed, _TAG_DATA, i))
         )
@@ -134,14 +136,8 @@ def p_sweep(
     DP, and both procedural metrics on the test split. A failing p raises
     StageError naming its stage.
     """
-    lo, hi = p_range
-    if not lo < hi:
-        raise ValueError("p_range must satisfy lo < hi")
-    if count < 2:
-        raise ValueError("count must be >= 2")
-
     rows = []
-    for p in np.linspace(lo, hi, count):
+    for p in _grid(p_range, count):
         cfg = ScenarioConfig(
             scenario_id="p_sweep", repetitions=1, master_seed=seed,
             dataset={"kind": "synthetic", "p": float(p), "n": n_points},

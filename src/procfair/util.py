@@ -55,12 +55,15 @@ def from_fields(cls, obj, section: str):
 def check_number(name: str, value, kind: str) -> None:
     """ValueError naming `name` unless value fits kind "int" or "float".
 
-    A bool is neither; a float field accepts an int, an int field no float.
+    A bool is neither; a float field accepts an int, an int field no float,
+    and neither accepts nan or infinity.
     """
     expected = numbers.Integral if kind == "int" else numbers.Real
     if isinstance(value, bool) or not isinstance(value, expected):
         noun = "an integer" if kind == "int" else "a number"
         raise ValueError(f"{name} must be {noun}, got {value!r}")
+    if not isinstance(value, numbers.Integral) and not np.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def check_number_fields(obj) -> None:

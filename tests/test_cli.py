@@ -74,6 +74,11 @@ def test_negative_seed_or_rep_exit_1(tmp_path, capsys, argv):
     (["sweep", "grid", "--perms", "99"], "argument --perms: n_permutations must be >= 100"),
     (["sweep", "ws", "--n", "-5"], "argument --n: n_points must be >= 4"),
     (["sweep", "p", "--n", "3"], "argument --n: n_points must be >= 4"),
+    (["sweep", "p", "--alpha", "nan"], "argument --alpha: alpha must be finite, got nan"),
+    (["sweep", "ws", "--pearson", "2.0"], "argument --pearson: threshold must lie in (0, 1]"),
+    (["sweep", "grid", "--pearson", "nan"], "argument --pearson: threshold must lie in (0, 1]"),
+    (["sweep", "ws", "--ws", "1:-1:3"], "argument --ws: range must satisfy lo < hi"),
+    (["sweep", "grid", "--p", "0.5:0.6:1"], "argument --p: range count must be >= 2"),
     (["scenario", "run", "--preset", "synth065_baseline", "--reps", "0"],
      "argument --reps: repetitions must be >= 1"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)

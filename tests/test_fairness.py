@@ -87,6 +87,11 @@ def test_equal_opportunity_and_odds_hand_counts():
     assert equal_opportunity(preds, labels3, groups) is None
     assert equalized_odds(preds, labels3, groups) is None
 
+    # a group with positives but no negatives: EOP defined, EOD undefined
+    labels4 = np.array([1, 1, 1, 1, 1, 0, 0, 0])
+    assert equal_opportunity(preds, labels4, groups) == 0.5
+    assert equalized_odds(preds, labels4, groups) is None
+
 
 def test_gpf_loss_values():
     assert gpf_loss(np.ones((4, 3)), np.ones((4, 3))) == 0.0
@@ -227,6 +232,8 @@ def test_mmd_config_validation():
         MmdConfig(kernel="cubic")
     with pytest.raises(ValueError, match="bandwidth"):
         MmdConfig(bandwidth=0.0)
+    with pytest.raises(ValueError, match="bandwidth must be finite"):
+        MmdConfig(bandwidth=float("inf"))  # an all-ones kernel
     with pytest.raises(ValueError, match="n_permutations"):
         MmdConfig(n_permutations=10)
 

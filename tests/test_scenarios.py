@@ -132,6 +132,21 @@ def test_scenario_config_rejects_wrong_shaped_sections(message, over):
         small_scenario(**over)
 
 
+@pytest.mark.parametrize("field, over", [
+    ("beta", {"train": {"mode": "dp_regularized", "beta": float("inf")}}),
+    ("lr", {"train": {"mode": "bce_only", "lr": float("nan")}}),
+    ("bandwidth", {"mmd": {"bandwidth": float("inf")}}),
+    ("p", {"dataset": {"kind": "synthetic", "p": float("nan")}}),
+    ("threshold", {"steps": [{"op": "pearson_select", "threshold": float("-inf")}]}),
+])
+def test_scenario_config_rejects_non_finite_numbers(tmp_path, field, over):
+    # JSON's Infinity and NaN load as floats; each fails at load time, naming the field
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**small_scenario().to_dict(), **over}))
+    with pytest.raises(ValueError, match=rf"\b{field} must be finite, got"):
+        ScenarioConfig.from_json(path)
+
+
 def test_scenario_config_float_fields_accept_ints():
     cfg = small_scenario(dataset={"kind": "synthetic", "p": 1, "n": 1000},
                          train={"mode": "bce_only", "lr": 1, "alpha": 0},

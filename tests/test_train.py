@@ -30,6 +30,10 @@ def test_train_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(ValueError, match="lr"):
         TrainConfig(lr=0.0)
+    with pytest.raises(ValueError, match="lr must be finite"):
+        TrainConfig(lr=float("inf"))
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        TrainConfig(alpha=float("nan"))
     with pytest.raises(ValueError, match="hidden"):
         TrainConfig(hidden=0)
 
