@@ -92,7 +92,8 @@ def _load_scenario(args) -> ScenarioConfig:
 
 
 def _cmd_generate(args) -> int:
-    cfg = SyntheticConfig(p=args.p, n_points=args.n, seed=args.seed)
+    _flag_checked("--n", lambda: SyntheticConfig(p=0.5, n_points=args.n))
+    cfg = _flag_checked("--p", lambda: SyntheticConfig(p=args.p, n_points=args.n, seed=args.seed))
     data = generate_synthetic(cfg)
     h = config_hash({"p": args.p, "n": args.n, "seed": args.seed})
     out = Path(args.out)
@@ -199,8 +200,8 @@ def _write_sweep(args, rows: list[dict], noun: str = "sweep") -> int:
 def _cmd_sweep_ws(args) -> int:
     ws_range, count = _parse_range("--ws", args.ws)
     _check_sweep_flags(args)
-    data = generate_synthetic(SyntheticConfig(p=args.p, n_points=args.n, seed=args.seed))
-    data = pearson_select(data, args.pearson)
+    cfg = _flag_checked("--p", lambda: SyntheticConfig(p=args.p, n_points=args.n, seed=args.seed))
+    data = pearson_select(generate_synthetic(cfg), args.pearson)
     rows = sweep_ws(data, ws_range, count, args.seed, epochs=args.epochs,
                     n_permutations=args.perms, p=args.p)
     return _write_sweep(args, rows)

@@ -22,6 +22,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+from scipy.sparse import csr_array
 from scipy.special import expit
 
 from .data import Dataset
@@ -212,19 +213,43 @@ def _dp_term(p: np.ndarray, group: np.ndarray) -> tuple[float, np.ndarray]:
     return abs(diff), dz
 
 
-def _pair_sign_scatter(S: np.ndarray, idx1: np.ndarray, idx2: np.ndarray, m: int) -> np.ndarray:
-    """Accumulate per-pair l1 subgradient signs onto per-row vectors."""
-    d = S.shape[1]
-    R = np.empty((m, d), dtype=np.float64)
-    for g in range(d):
-        R[:, g] = np.bincount(idx1, weights=S[:, g], minlength=m) - np.bincount(
-            idx2, weights=S[:, g], minlength=m
-        )
-    return R
+class _GapPairs(NamedTuple):
+    """The gap term's pairs with their m x k row-incidence matrices, built
+    once per training run (or per gpf_loss_grads call) by _gap_pairs."""
+
+    idx1: np.ndarray
+    idx2: np.ndarray
+    A1: csr_array
+    A2: csr_array
+
+
+def _incidence(idx: np.ndarray, m: int) -> csr_array:
+    """m x k 0/1 matrix with a 1 at (idx[p], p): row i lists the pairs that
+    reference row i, in pair order."""
+    order = np.argsort(idx, kind="stable")
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(idx, minlength=m))])
+    return csr_array((np.ones(idx.shape[0]), order, indptr), shape=(m, idx.shape[0]))
+
+
+def _gap_pairs(pairs: PairSet, m: int) -> _GapPairs:
+    return _GapPairs(pairs.idx1, pairs.idx2, _incidence(pairs.idx1, m), _incidence(pairs.idx2, m))
+
+
+def _pair_sign_scatter(S: np.ndarray, pairs: _GapPairs) -> np.ndarray:
+    """Accumulate per-pair l1 subgradient signs onto per-row vectors:
+    row i gets the sum of S[p] over pairs with idx1[p] == i, less the sum
+    over pairs with idx2[p] == i.
+
+    Each CSR product accumulates every output row from 0.0 over its pairs
+    in pair order, the order np.bincount adds its weights in, so this
+    equals the per-column bincount scatter (tests/oracles.py) bit for bit.
+    The two sums stay two products: one +-1 matrix would interleave them.
+    """
+    return (pairs.A1 @ S) - (pairs.A2 @ S)
 
 
 def _gap_term(
-    params: MlpParams, c: _Forward, idx1: np.ndarray, idx2: np.ndarray, scratch: dict | None = None
+    params: MlpParams, c: _Forward, pairs: _GapPairs, scratch: dict | None = None
 ) -> tuple[float, np.ndarray, dict[str, np.ndarray]]:
     """Mean l1 gap between probability-gradient explanations of paired rows.
 
@@ -239,9 +264,9 @@ def _gap_term(
     s = c.p * (1.0 - c.p)
     G = _logit_input_grads(params, c)
     E = s[:, None] * G
-    U = E[idx1] - E[idx2]
+    U = E[pairs.idx1] - E[pairs.idx2]
     loss = float(np.abs(U).sum(axis=1).mean())
-    R = _pair_sign_scatter(np.sign(U) / idx1.shape[0], idx1, idx2, c.X.shape[0])
+    R = _pair_sign_scatter(np.sign(U) / pairs.idx1.shape[0], pairs)
     sR = s[:, None] * R
     dz = (R * G).sum(axis=1) * s * (1.0 - 2.0 * c.p)
     sRW = np.matmul(sR, params.W1.T, out=_out(scratch, "sRW", c.mask.shape))
@@ -289,7 +314,7 @@ def gpf_loss_grads(
     if len(pairs) == 0:
         raise ValueError("pair set must be non-empty")
     c = _forward(params, np.asarray(X, dtype=np.float64))
-    loss, dz, direct = _gap_term(params, c, pairs.idx1, pairs.idx2)
+    loss, dz, direct = _gap_term(params, c, _gap_pairs(pairs, c.X.shape[0]))
     return loss, _backprop_from_dz(params, c, dz, direct)
 
 

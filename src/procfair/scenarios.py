@@ -11,12 +11,12 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
 
 from .data import (
     ColumnSchema,
     Dataset,
     SyntheticConfig,
+    _check_pearson_threshold,
     attach_fake_sensitive,
     generate_synthetic,
     load_csv,
@@ -84,6 +84,11 @@ class ScenarioConfig:
             raise ValueError(f"steps must be a JSON list, got {type(self.steps).__name__}")
         for step in self.steps:
             _check_spec("step", step, "op", _STEP_KEYS)
+            if step["op"] == "pearson_select":
+                try:
+                    _check_pearson_threshold(step["threshold"])
+                except ValueError as exc:
+                    raise ValueError(f"pearson_select step {exc}") from None
         from_fields(TrainConfig, self.train, "train config")  # validate eagerly
         from_fields(MmdConfig, self.mmd, "mmd config")
         for name in ("dataset", "train", "mmd"):
@@ -324,6 +329,8 @@ def ranksum_pvalue(x, y) -> float:
     normal approximation otherwise. Identical pooled samples compare as
     p = 1.0 directly.
     """
+    from scipy import stats  # on use: the package's slowest import, needed by `scenario compare` only
+
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.size == 0 or y.size == 0:

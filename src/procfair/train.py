@@ -33,6 +33,7 @@ from .model import (
     _bce_term,
     _dp_term,
     _forward,
+    _gap_pairs,
     _gap_term,
     adam_init,
     adam_step,
@@ -94,10 +95,11 @@ def dp_proxy_grads(params: MlpParams, X: np.ndarray, group: np.ndarray):
     return loss, _backprop_from_dz(params, c, dz)
 
 
-def _fused_epoch(params, X, y, group, idx1, idx2, alpha, beta, mode, scratch=None):
+def _fused_epoch(params, X, y, group, pairs, alpha, beta, mode, scratch=None):
     """One epoch's (total, bce, gpf, dp_proxy) losses and combined gradient:
     the mode's loss terms over a single forward pass, backpropagated once.
-    The n x h temporaries are written into `scratch`, kept across epochs."""
+    `pairs` is the procedural mode's model._gap_pairs. The n x h
+    temporaries are written into `scratch`, kept across epochs."""
     c = _forward(params, X, scratch)
     bce, dz = _bce_term(c.p, y)
     gpf_val = dp_val = 0.0
@@ -106,7 +108,7 @@ def _fused_epoch(params, X, y, group, idx1, idx2, alpha, beta, mode, scratch=Non
         dp_val, dz_dp = _dp_term(c.p, group)
         dz = dz + beta * dz_dp
     if mode == "procedural":
-        gpf_val, dz_gap, direct = _gap_term(params, c, idx1, idx2, scratch)
+        gpf_val, dz_gap, direct = _gap_term(params, c, pairs, scratch)
         dz = dz + alpha * dz_gap
     grads = _backprop_from_dz(params, c, dz, direct, alpha, scratch)
     total = bce + alpha * gpf_val + beta * dp_val
@@ -121,10 +123,9 @@ def train(data: Dataset, cfg: TrainConfig) -> tuple[MlpParams, TrainHistory]:
     so k is the pair count. Deterministic for fixed (data, cfg).
     """
     t0 = time.perf_counter()
-    idx1 = idx2 = np.empty(0, dtype=np.int64)
+    pairs = None
     if cfg.mode == "procedural":
-        pairs = build_pairs(data)  # raises on single-group data
-        idx1, idx2 = pairs.idx1, pairs.idx2
+        pairs = _gap_pairs(build_pairs(data), data.n_rows)  # raises on single-group data
 
     params = mlp_init(data.n_features, cfg.hidden, cfg.seed)
     state = adam_init(params)
@@ -135,7 +136,7 @@ def train(data: Dataset, cfg: TrainConfig) -> tuple[MlpParams, TrainHistory]:
     scratch: dict = {}
     for epoch in range(cfg.epochs):
         losses[:, epoch], grads = _fused_epoch(
-            params, X, y, data.group, idx1, idx2, cfg.alpha, cfg.beta, cfg.mode, scratch
+            params, X, y, data.group, pairs, cfg.alpha, cfg.beta, cfg.mode, scratch
         )
         params, state = adam_step(state, params, grads, cfg.lr)
 

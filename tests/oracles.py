@@ -5,8 +5,8 @@ finite differences for gradients, subset enumeration for rank-sum,
 direct probability-gradient recomputation for explanation values, a
 one-row-at-a-time coalition evaluation for KernelSHAP, and, on the
 library's kernel set-up, an argsort split draw made afresh on every call
-for the MMD permutation test, and full cdist rows for nearest-neighbour
-pairing.
+for the MMD permutation test, full cdist rows for nearest-neighbour
+pairing, and per-column np.bincount for the gap term's sign scatter.
 """
 
 from __future__ import annotations
@@ -195,3 +195,15 @@ def nearest_cross_cdist(a: np.ndarray, b: np.ndarray, chunk: int = 1024):
         nn[s : s + chunk] = j
         dd[s : s + chunk] = d[np.arange(j.shape[0]), j]
     return nn, dd
+
+
+def pair_sign_scatter_bincount(S: np.ndarray, idx1: np.ndarray, idx2: np.ndarray,
+                               m: int) -> np.ndarray:
+    """Per-row sums of S over the pairs naming each row in idx1, less those
+    naming it in idx2, one np.bincount per column and side."""
+    R = np.empty((m, S.shape[1]), dtype=np.float64)
+    for g in range(S.shape[1]):
+        R[:, g] = np.bincount(idx1, weights=S[:, g], minlength=m) - np.bincount(
+            idx2, weights=S[:, g], minlength=m
+        )
+    return R

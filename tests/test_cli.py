@@ -79,6 +79,9 @@ def test_negative_seed_or_rep_exit_1(tmp_path, capsys, argv):
     (["sweep", "grid", "--pearson", "nan"], "argument --pearson: threshold must lie in (0, 1]"),
     (["sweep", "ws", "--ws", "1:-1:3"], "argument --ws: range must satisfy lo < hi"),
     (["sweep", "grid", "--p", "0.5:0.6:1"], "argument --p: range count must be >= 2"),
+    (["sweep", "ws", "--p", "1.5"], "argument --p: p must lie in [0, 1]"),
+    (["generate", "--p", "1.5"], "argument --p: p must lie in [0, 1]"),
+    (["generate", "--p", "0.5", "--n", "3"], "argument --n: n_points must be >= 4"),
     (["scenario", "run", "--preset", "synth065_baseline", "--reps", "0"],
      "argument --reps: repetitions must be >= 1"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
@@ -174,6 +177,8 @@ def test_scenario_run_unknown_config_key_exit_1(tmp_path, capsys):
                       ("split_ratio", {"split_ratio": 1.0}),
                       ("n_eval_pairs", {"n_eval_pairs": 0}),
                       ("background_size", {"background_size": 0}),
+                      ("pearson_select step threshold must lie in (0, 1]",
+                       {"steps": [{"op": "pearson_select", "threshold": 2.0}]}),
                       # wrong type: fails at load time, not as a runtime failure
                       ("split_ratio", {"split_ratio": "0.8"}),
                       ("epochs", {"train": {"mode": "bce_only", "epochs": "2"}}),

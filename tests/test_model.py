@@ -2,12 +2,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
 from oracles import (
     config_away_from_kinks,
     finite_diff_grads,
     max_rel_error,
+    pair_sign_scatter_bincount,
     prob_grad_rows,
 )
 from procfair.data import Dataset, SyntheticConfig, generate_synthetic, pearson_select, split
@@ -15,7 +18,9 @@ from procfair.model import (
     LinearParams,
     MlpParams,
     _forward,
+    _gap_pairs,
     _logit_input_grads,
+    _pair_sign_scatter,
     adam_init,
     adam_step,
     bce_loss_grads,
@@ -190,6 +195,27 @@ def test_gpf_grads_match_finite_differences():
         worst = max(worst, max_rel_error(grads, fd))
         checked += 1
     assert worst < 1e-4
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 40), k=st.integers(1, 120),
+       d=st.integers(1, 14), sort_idx1=st.booleans(), weighted=st.booleans())
+def test_pair_sign_scatter_matches_bincount_oracle(seed, m, k, d, sort_idx1, weighted):
+    # build_pairs returns idx1 sorted and idx2 unsorted; both repeat rows.
+    # Signs over k (zeros of both signs included) as the gap term scatters
+    # them, or arbitrary weights; the scatter must match the oracle's bits.
+    rng = np.random.default_rng(seed)
+    idx1, idx2 = rng.integers(0, m, k), rng.integers(0, m, k)
+    if sort_idx1:
+        idx1.sort()
+    S = rng.choice([-1.0, -0.0, 0.0, 1.0], size=(k, d)) / k
+    if weighted:
+        S *= rng.lognormal(0.0, 3.0, size=(k, d))
+    pairs = _gap_pairs(PairSet(idx1=idx1, idx2=idx2, distances=np.zeros(k)), m)
+    got = _pair_sign_scatter(S, pairs)
+    want = pair_sign_scatter_bincount(S, idx1, idx2, m)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
 
 
 def test_gpf_loss_requires_pairs():

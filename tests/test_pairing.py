@@ -178,7 +178,7 @@ def _two_groups(feats: np.ndarray, n1: int, sensitive_col=None) -> Dataset:
     )
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     n1=st.integers(1, 300),
@@ -187,14 +187,21 @@ def _two_groups(feats: np.ndarray, n1: int, sensitive_col=None) -> Dataset:
     levels=st.integers(1, 6),
     scale=st.sampled_from([1.0, 0.1, 1e-3]),
     dup_share=st.floats(0.0, 0.9),
+    offset=st.sampled_from([0.0, 1e3, -1e6]),
+    last_bits=st.booleans(),
 )
-def test_nearest_search_matches_cdist_oracle(seed, n1, n2, d, levels, scale, dup_share):
+def test_nearest_search_matches_cdist_oracle(seed, n1, n2, d, levels, scale, dup_share,
+                                             offset, last_bits):
     # Integer-valued features on a small grid make many equal distances and
     # equal rows; a scale of 0.1 makes equal distances round differently.
+    # A common offset makes the screen's |b|^2 - 2a.b cancel, and rows one
+    # or two ulps apart have distances that differ in their last bits only.
     rng = np.random.default_rng(seed)
-    feats = rng.integers(-levels, levels + 1, size=(n1 + n2, d)) * scale
+    feats = rng.integers(-levels, levels + 1, size=(n1 + n2, d)) * scale + offset
     dup = rng.random(n1 + n2) < dup_share
     feats[dup] = feats[rng.integers(0, n1 + n2, size=int(dup.sum()))]
+    if last_bits:
+        feats += rng.integers(0, 3, size=feats.shape) * np.spacing(feats)
     a, b = feats[:n1], feats[n1:]
     for x, y in ((a, b), (b, a)):
         got, want = pairing._nearest_cross(x, y), nearest_cross_cdist(x, y)

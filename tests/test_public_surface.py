@@ -2,6 +2,9 @@
 used by the package or by perfbench, so no test-only wrapper creeps back."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import procfair
@@ -47,3 +50,12 @@ def test_every_export_is_used_outside_the_tests():
     # not an attribute of the same name inside the package
     probe = "from .fairness import a\ndef b(): pass\nb()\ncfg.c\n"
     assert _uses(ast.parse(probe), in_package=True) == {"a", "b"}
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is imported where the rank-sum test uses it, so a start of
+    # the package or the CLI does not pay for it
+    code = "import sys, procfair, procfair.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert out.stdout.split() == ["False"]

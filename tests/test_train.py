@@ -5,7 +5,7 @@ from scipy import stats
 from oracles import config_away_from_kinks, finite_diff_grads, max_rel_error, random_mlp
 from procfair.data import Dataset, SyntheticConfig, generate_synthetic, split
 from procfair.fairness import MmdConfig
-from procfair.model import MlpParams, bce_loss_grads, gpf_loss_grads, mlp_init
+from procfair.model import MlpParams, _gap_pairs, bce_loss_grads, gpf_loss_grads, mlp_init
 from procfair.pairing import PairSet, select_eval_pairs
 from procfair.train import (
     MODES,
@@ -157,7 +157,7 @@ def test_fused_epoch_matches_finite_differences_and_standalone_terms(mode, alpha
             continue  # too close to the absolute-value kink
 
         def epoch(q):
-            return _fused_epoch(q, X, y, group, pairs.idx1, pairs.idx2, alpha, beta, mode)
+            return _fused_epoch(q, X, y, group, _gap_pairs(pairs, m), alpha, beta, mode)
 
         (total, bce, gpf, dp), grads = epoch(params)
         assert bce == bce_loss_grads(params, X, y)[0]
@@ -177,12 +177,13 @@ def test_fused_epoch_scratch_reuse_is_bit_identical(mode):
     X = rng.normal(size=(40, 3))
     y = rng.integers(0, 2, 40).astype(np.float64)
     group = np.arange(40) % 2
-    idx1, idx2 = rng.integers(0, 40, 25), rng.integers(0, 40, 25)
+    pairs = _gap_pairs(PairSet(idx1=rng.integers(0, 40, 25), idx2=rng.integers(0, 40, 25),
+                               distances=np.zeros(25)), 40)
     scratch: dict = {}
     for seed in range(3):
         params = random_mlp(np.random.default_rng(seed), 3, 5)
-        fresh = _fused_epoch(params, X, y, group, idx1, idx2, 0.5, 0.5, mode)
-        reused = _fused_epoch(params, X, y, group, idx1, idx2, 0.5, 0.5, mode, scratch)
+        fresh = _fused_epoch(params, X, y, group, pairs, 0.5, 0.5, mode)
+        reused = _fused_epoch(params, X, y, group, pairs, 0.5, 0.5, mode, scratch)
         assert fresh[0] == reused[0]
         for key, g in fresh[1].items():
             assert np.array_equal(g, reused[1][key])
