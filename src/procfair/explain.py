@@ -7,6 +7,8 @@ The pipeline explains the pre-sigmoid logit (pass `params.logits`).
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
 import numpy as np
@@ -18,6 +20,21 @@ _DEFAULT_SAMPLE_BUDGET = 2048
 # Model rows per predict call when evaluating coalitions: small enough that
 # the mixed inputs and hidden activations of one block stay in cache.
 _PREDICT_ROWS = 8192
+# Calls of at least this many model rows (rows x coalitions x background)
+# share their blocks out over up to _WORKERS threads. Below it a thread costs
+# about what it saves; with 100 eval pairs and 100 background rows, every
+# exhaustive call at d <= 4, and so every sweep cell, stays on the calling
+# thread.
+_PARALLEL_MIN_ROWS = 2**20
+
+
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):  # Linux: the cores this process may run on
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+_WORKERS = min(_usable_cores(), 4)
 
 
 def _exhaustive_masks(d: int) -> np.ndarray:
@@ -67,6 +84,13 @@ def _coalition_values(
     B is a multiple of the unroll, or C * B is and B <= _PREDICT_ROWS // 8,
     no call has such rows, as with one call per explained row, and the
     values equal that evaluation's bit for bit.
+
+    A call of at least _PARALLEL_MIN_ROWS model rows deals its blocks
+    round-robin over w = min(_WORKERS, blocks) threads: the calling thread
+    takes blocks 0, w, 2w, ... and a pool made for this call the rest. Each
+    block is the same predict call on the same rows whichever thread runs
+    it and writes only its own slice of the output, so the values do not
+    depend on w. predict must be safe to call from several threads at once.
     """
     n, d = X.shape
     c, b = masks.shape[0], background.shape[0]
@@ -74,11 +98,25 @@ def _coalition_values(
     step = max(1, _PREDICT_ROWS // b)
     if step > 8:
         step -= step % 8
-    for start in range(0, n * c, step):
-        rows, cols = np.divmod(np.arange(start, min(start + step, n * c)), c)
-        # mixed[pair, b, d]: coalition features from x, the rest from the background
-        mixed = np.where(masks[cols, None, :], X[rows, None, :], background[None, :, :])
-        out[start:start + len(rows)] = predict(mixed.reshape(-1, d)).reshape(-1, b).mean(axis=1)
+    starts = range(0, n * c, step)
+
+    def evaluate(blocks: range) -> None:
+        for start in blocks:
+            rows, cols = np.divmod(np.arange(start, min(start + step, n * c)), c)
+            # mixed[pair, b, d]: coalition features from x, the rest from the background
+            mixed = np.where(masks[cols, None, :], X[rows, None, :], background[None, :, :])
+            out[start:start + len(rows)] = (
+                predict(mixed.reshape(-1, d)).reshape(-1, b).mean(axis=1))
+
+    workers = min(_WORKERS, len(starts)) if n * c * b >= _PARALLEL_MIN_ROWS else 1
+    if workers == 1:
+        evaluate(starts)
+    else:
+        with ThreadPoolExecutor(workers - 1) as pool:
+            futures = [pool.submit(evaluate, starts[i::workers]) for i in range(1, workers)]
+            evaluate(starts[::workers])
+            for future in futures:
+                future.result()
     return out.reshape(n, c)
 
 
@@ -97,13 +135,17 @@ def kernel_shap_batch(
     least d + 2) samples that many. budget None enumerates for d <= 11
     and samples 2048 coalitions otherwise. Coalition values are evaluated in
     cache-sized blocks across all rows of X (see _coalition_values); the
-    results do not depend on the block size.
+    results depend neither on the block size nor on how many threads
+    evaluate the blocks. A call of at least 2^20 model rows calls predict
+    from up to 4 threads at once.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     background = np.atleast_2d(np.asarray(background, dtype=np.float64))
     if background.shape[0] == 0:
         raise ValueError("background must be non-empty")
     n, d = X.shape
+    if background.shape[1] != d:
+        raise ValueError(f"X has {d} columns but background has {background.shape[1]}")
     base = float(predict(background).mean())
     fx = predict(X)
 

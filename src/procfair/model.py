@@ -70,7 +70,10 @@ class MlpParams:
 
     def logits(self, X: np.ndarray) -> np.ndarray:
         """Pre-sigmoid logit of every row of X."""
-        return np.maximum(X @ self.W1.T + self.b1, 0.0) @ self.w2 + self.b2
+        pre = X @ self.W1.T
+        pre += self.b1
+        np.maximum(pre, 0.0, out=pre)
+        return pre @ self.w2 + self.b2
 
     def prob_grads(self, X: np.ndarray) -> np.ndarray:
         """Gradient of the predicted probability w.r.t. the input.

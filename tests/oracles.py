@@ -6,7 +6,8 @@ direct probability-gradient recomputation for explanation values, a
 one-row-at-a-time coalition evaluation for KernelSHAP, and, on the
 library's kernel set-up, an argsort split draw made afresh on every call
 for the MMD permutation test, full cdist rows for nearest-neighbour
-pairing, and per-column np.bincount for the gap term's sign scatter.
+pairing, per-column np.bincount for the gap term's sign scatter, and the
+MLP logit written as one expression with fresh temporaries.
 """
 
 from __future__ import annotations
@@ -121,6 +122,11 @@ def random_mlp(rng: np.random.Generator, d: int, h: int) -> MlpParams:
         w2=rng.normal(0.0, 0.8, h),
         b2=float(rng.normal(0.0, 0.3)),
     )
+
+
+def mlp_logits_fresh(params: MlpParams, X: np.ndarray) -> np.ndarray:
+    """The MLP logit with a fresh array for every intermediate."""
+    return np.maximum(X @ params.W1.T + params.b1, 0.0) @ params.w2 + params.b2
 
 
 def config_away_from_kinks(rng, d_range=(2, 5), h_range=(2, 6), m_range=(5, 12), min_pre=1e-3):

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -50,21 +53,33 @@ def test_kernel_shap_sampled_linear_closed_form(d, budget):
     assert base == pytest.approx(float((bg @ w).mean() - 0.4), abs=1e-12)
 
 
+def _with_workers(cases):
+    """Every case at 1 worker, under its plain id, and at 3 workers."""
+    return [pytest.param(w, *case, id="-".join(map(str, case)) + ("" if w == 1 else f"-{w}workers"))
+            for w in (1, 3) for case in cases]
+
+
+@pytest.mark.gate
 @pytest.mark.parametrize(
-    "model, d, n, b, masks",
-    [
+    "workers, model, d, n, b, masks",
+    _with_workers([
         ("mlp", 14, 5, 100, "sampled"),  # the sampled scale
         ("linear", 3, 9, 100, "exhaustive"),
         ("mlp", 14, 3, 36, "sampled"),  # n * C not a multiple of the block size
+        ("mlp", 14, 3, 37, "sampled"),  # B not a multiple of the 4-row unroll
+        ("mlp", 3, 2, 600, "exhaustive"),  # 2 blocks, fewer than the workers
         ("mlp", 4, 3, explain._PREDICT_ROWS + 4, "exhaustive"),  # block is one pair
         # a row-wise predict has no BLAS remainder rows, so any B matches
         ("rowwise", 5, 4, 1, "exhaustive"),
         ("rowwise", 5, 4, 7, "exhaustive"),
         ("rowwise", 5, 4, 101, "exhaustive"),
         ("rowwise", 5, 4, explain._PREDICT_ROWS + 1, "exhaustive"),
-    ],
+    ]),
 )
-def test_coalition_values_match_per_row_oracle(model, d, n, b, masks):
+def test_coalition_values_match_per_row_oracle(monkeypatch, workers, model, d, n, b, masks):
+    # every call, however small, deals its blocks over `workers` threads
+    monkeypatch.setattr(explain, "_WORKERS", workers)
+    monkeypatch.setattr(explain, "_PARALLEL_MIN_ROWS", 0)
     rng = np.random.default_rng(d * 1000 + b)
     if model == "linear":
         params = LinearParams(w=rng.normal(size=d), b=0.3, sensitive_index=0)
@@ -85,8 +100,74 @@ def test_coalition_values_match_per_row_oracle(model, d, n, b, masks):
     )
 
 
-@pytest.mark.parametrize("d, n, b", [(14, 4, 100), (3, 50, 100), (5, 2, explain._PREDICT_ROWS + 1)])
-def test_kernel_shap_batch_model_rows(d, n, b):
+class _WorkerFailure(Exception):
+    pass
+
+
+def test_worker_block_error_reraises_and_leaves_no_thread(monkeypatch):
+    monkeypatch.setattr(explain, "_WORKERS", 3)
+    monkeypatch.setattr(explain, "_PARALLEL_MIN_ROWS", 0)
+    rng = np.random.default_rng(5)
+    w = rng.normal(size=14)
+    calls = []
+
+    def predict(Z):
+        calls.append(threading.current_thread())
+        if threading.current_thread() is not threading.main_thread():
+            raise _WorkerFailure("block failed")
+        return Z @ w
+
+    before = threading.active_count()
+    with pytest.raises(_WorkerFailure):
+        kernel_shap_batch(predict, rng.normal(size=(4, 14)), rng.normal(size=(100, 14)))
+    assert any(t is not threading.main_thread() for t in calls)
+    assert threading.active_count() == before
+
+
+def test_small_call_starts_no_thread(monkeypatch):
+    # an audit_grid cell: d = 3, 100 explained rows, 100 background rows
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+    monkeypatch.setattr(explain, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(explain, "_WORKERS", 4)
+    rng = np.random.default_rng(8)
+    params = LinearParams(w=rng.normal(size=3), b=0.1, sensitive_index=0)
+    X, bg = rng.normal(size=(100, 3)), rng.normal(size=(100, 3))
+    kernel_shap_batch(params.logits, X, bg)
+    monkeypatch.setattr(explain, "_PARALLEL_MIN_ROWS", 0)  # the same call, sent to the pool
+    with pytest.raises(AssertionError, match="thread pool"):
+        kernel_shap_batch(params.logits, X, bg)
+
+
+def test_worker_count_stress_bit_identical(monkeypatch):
+    # more workers than cores, switching threads every microsecond
+    monkeypatch.setattr(explain, "_PARALLEL_MIN_ROWS", 0)
+    rng = np.random.default_rng(11)
+    params = random_mlp(rng, 14, 32)
+    X, bg = rng.normal(size=(6, 14)), rng.normal(size=(40, 14))
+    M = explain._sampled_masks(14, explain._DEFAULT_SAMPLE_BUDGET, rng)
+    monkeypatch.setattr(explain, "_WORKERS", 1)
+    alone = explain._coalition_values(params.logits, X, bg, M)
+    monkeypatch.setattr(explain, "_WORKERS", 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            shared = explain._coalition_values(params.logits, X, bg, M)
+            assert shared.tobytes() == alone.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize(
+    "workers, d, n, b",
+    _with_workers([(14, 4, 100), (3, 50, 100), (5, 2, explain._PREDICT_ROWS + 1)]),
+)
+def test_kernel_shap_batch_model_rows(monkeypatch, workers, d, n, b):
+    # every block is evaluated once, whichever thread takes it
+    monkeypatch.setattr(explain, "_WORKERS", workers)
+    monkeypatch.setattr(explain, "_PARALLEL_MIN_ROWS", 0)
     rng = np.random.default_rng(7)
     w = rng.normal(size=d)
     calls = []
@@ -152,6 +233,14 @@ def test_kernel_shap_budget_validation():
         kernel_shap_batch(_linear_predict(np.ones(4)), np.ones((1, 4)), np.zeros((3, 4)), budget=3)
     with pytest.raises(ValueError, match="background"):
         kernel_shap_batch(_linear_predict(np.ones(2)), np.ones((1, 2)), np.zeros((0, 2)))
+
+
+def test_kernel_shap_rejects_column_count_mismatch():
+    def predict(Z):
+        raise AssertionError("predict called before the shapes were checked")
+
+    with pytest.raises(ValueError, match="X has 4 columns but background has 3"):
+        kernel_shap_batch(predict, np.ones((2, 4)), np.zeros((5, 3)))
 
 
 def test_kernel_shap_sampled_budget_consistency():

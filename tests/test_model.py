@@ -10,8 +10,10 @@ from oracles import (
     config_away_from_kinks,
     finite_diff_grads,
     max_rel_error,
+    mlp_logits_fresh,
     pair_sign_scatter_bincount,
     prob_grad_rows,
+    random_mlp,
 )
 from procfair.data import Dataset, SyntheticConfig, generate_synthetic, pearson_select, split
 from procfair.model import (
@@ -72,6 +74,15 @@ def test_forward_determinism_bit_identical():
     z1 = mlp_logits(p, x)
     z2 = mlp_logits(p, x)
     assert (z1 == z2).all()
+
+
+@pytest.mark.parametrize("n", [1, 7, 8192])
+@pytest.mark.parametrize("h", [1, 32, 33])
+def test_mlp_logits_match_fresh_temporaries_oracle(n, h):
+    rng = np.random.default_rng(100 * n + h)
+    params = random_mlp(rng, 14, h)
+    X = rng.normal(size=(n, 14))
+    assert params.logits(X).tobytes() == mlp_logits_fresh(params, X).tobytes()
 
 
 def _logit_grads(params, X):
