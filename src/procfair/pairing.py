@@ -144,7 +144,8 @@ def build_pairs(data: Dataset) -> PairSet:
 
 
 def select_eval_pairs(data: Dataset, n: int) -> PairSet:
-    """The n smallest-distance pairs among all mutual nearest matches.
+    """The n smallest-distance pairs among build_pairs' candidates: every
+    row's nearest row of the other group, from both directions, deduplicated.
 
     Candidates are ranked by (distance, idx1, idx2), which makes the result
     deterministic. Fewer than n candidates returns all of them with the

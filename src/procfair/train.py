@@ -27,18 +27,7 @@ from .fairness import (
     gpf_fae,
     gpf_loss,
 )
-from .model import (
-    MlpParams,
-    _backprop_from_dz,
-    _bce_term,
-    _dp_term,
-    _forward,
-    _gap_pairs,
-    _gap_term,
-    adam_init,
-    adam_step,
-    mlp_init,
-)
+from .model import MlpParams, _gap_pairs, _loss_grads, adam_init, adam_step, mlp_init
 from .pairing import PairSet, build_pairs
 from .util import atomic_write_csv, check_number_fields
 
@@ -90,29 +79,19 @@ def dp_proxy_grads(params: MlpParams, X: np.ndarray, group: np.ndarray):
     loss = |mean sigmoid(logit) over s1 - mean over s2|; soft predictions
     keep it differentiable, with subgradient 0 at the absolute-value kink.
     """
-    c = _forward(params, np.asarray(X, dtype=np.float64))
-    loss, dz = _dp_term(c.p, group)
-    return loss, _backprop_from_dz(params, c, dz)
+    (_, _, loss), grads = _loss_grads(params, np.asarray(X, dtype=np.float64), group=group)
+    return loss, grads
 
 
-def _fused_epoch(params, X, y, group, pairs, alpha, beta, mode, scratch=None):
+def _fused_epoch(params, X, y, group, pairs, alpha, beta, mode):
     """One epoch's (total, bce, gpf, dp_proxy) losses and combined gradient:
-    the mode's loss terms over a single forward pass, backpropagated once.
-    `pairs` is the procedural mode's model._gap_pairs. The n x h
-    temporaries are written into `scratch`, kept across epochs."""
-    c = _forward(params, X, scratch)
-    bce, dz = _bce_term(c.p, y)
-    gpf_val = dp_val = 0.0
-    direct = None
-    if mode == "dp_regularized":
-        dp_val, dz_dp = _dp_term(c.p, group)
-        dz = dz + beta * dz_dp
-    if mode == "procedural":
-        gpf_val, dz_gap, direct = _gap_term(params, c, pairs, scratch)
-        dz = dz + alpha * dz_gap
-    grads = _backprop_from_dz(params, c, dz, direct, alpha, scratch)
-    total = bce + alpha * gpf_val + beta * dp_val
-    return (total, bce, gpf_val, dp_val), grads
+    the mode's loss terms in one run of the loss engine. `pairs` is the
+    procedural mode's model._gap_pairs."""
+    (bce, gpf_val, dp_val), grads = _loss_grads(
+        params, X, y, group if mode == "dp_regularized" else None,
+        pairs if mode == "procedural" else None, alpha, beta,
+    )
+    return (bce + alpha * gpf_val + beta * dp_val, bce, gpf_val, dp_val), grads
 
 
 def train(data: Dataset, cfg: TrainConfig) -> tuple[MlpParams, TrainHistory]:
@@ -133,10 +112,9 @@ def train(data: Dataset, cfg: TrainConfig) -> tuple[MlpParams, TrainHistory]:
     X = data.features
 
     losses = np.empty((4, cfg.epochs))  # rows: total, bce, gpf, dp_proxy
-    scratch: dict = {}
     for epoch in range(cfg.epochs):
         losses[:, epoch], grads = _fused_epoch(
-            params, X, y, data.group, pairs, cfg.alpha, cfg.beta, cfg.mode, scratch
+            params, X, y, data.group, pairs, cfg.alpha, cfg.beta, cfg.mode
         )
         params, state = adam_step(state, params, grads, cfg.lr)
 

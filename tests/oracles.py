@@ -6,8 +6,9 @@ direct probability-gradient recomputation for explanation values, a
 one-row-at-a-time coalition evaluation for KernelSHAP, and, on the
 library's kernel set-up, an argsort split draw made afresh on every call
 for the MMD permutation test, full cdist rows for nearest-neighbour
-pairing, per-column np.bincount for the gap term's sign scatter, and the
-MLP logit written as one expression with fresh temporaries.
+pairing, per-column np.bincount for the gap term's sign scatter, the
+MLP logit written as one expression with fresh temporaries, and a training
+epoch computed over all rows at once.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from itertools import combinations
 
 import numpy as np
 from scipy.spatial.distance import cdist
+from scipy.special import expit
 
 from procfair.model import MlpParams
 
@@ -62,8 +64,6 @@ def max_rel_error(analytic: dict, oracle: dict) -> float:
 
 def prob_grad_rows(params: MlpParams, X: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     """Probability-gradient explanations by finite differences on inputs."""
-    from scipy.special import expit
-
     from procfair.model import mlp_logits
 
     X = np.asarray(X, dtype=np.float64)
@@ -213,3 +213,41 @@ def pair_sign_scatter_bincount(S: np.ndarray, idx1: np.ndarray, idx2: np.ndarray
             idx2, weights=S[:, g], minlength=m
         )
     return R
+
+
+def fused_epoch_unblocked(params: MlpParams, X, y, group, pairs, alpha, beta, mode):
+    """One training epoch's (total, bce, gpf, dp_proxy) losses and gradient,
+    every n x h array formed whole: one forward pass, the mode's loss terms
+    as d(loss)/d(logit), one backprop, and the attribution gap's direct
+    W1 and w2 gradients through the 0/1 ReLU mask. `pairs` is a PairSet."""
+    n = X.shape[0]
+    pre = X @ params.W1.T + params.b1
+    mask = (pre > 0.0).astype(np.float64)
+    act = np.maximum(pre, 0.0)
+    p = expit(act @ params.w2 + params.b2)
+    s = p * (1.0 - p)
+    pc = np.clip(p, 1e-12, 1.0 - 1e-12)
+    bce = float(-(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc)).mean())
+    dz = (p - y) / n
+    gpf = dp = 0.0
+    direct_W1 = direct_w2 = 0.0
+    if mode == "dp_regularized":
+        adv = group == 1
+        diff = p[adv].mean() - p[~adv].mean()
+        dp = float(abs(diff))
+        sgn = np.sign(diff)
+        dz = dz + beta * np.where(adv, sgn / adv.sum(), -sgn / (~adv).sum()) * p * (1.0 - p)
+    if mode == "procedural":
+        G = (mask * params.w2) @ params.W1
+        E = s[:, None] * G
+        U = E[pairs.idx1] - E[pairs.idx2]
+        gpf = float(np.abs(U).sum(axis=1).mean())
+        R = pair_sign_scatter_bincount(np.sign(U) / len(pairs), pairs.idx1, pairs.idx2, n)
+        sR = s[:, None] * R
+        dz = dz + alpha * (R * G).sum(axis=1) * s * (1.0 - 2.0 * p)
+        direct_W1 = alpha * (mask.T @ sR) * params.w2[:, None]
+        direct_w2 = alpha * ((sR @ params.W1.T) * mask).sum(axis=0)
+    dpre = dz[:, None] * mask * params.w2
+    grads = {"W1": dpre.T @ X + direct_W1, "b1": dpre.sum(axis=0),
+             "w2": act.T @ dz + direct_w2, "b2": float(dz.sum())}
+    return (bce + alpha * gpf + beta * dp, bce, gpf, dp), grads

@@ -21,7 +21,6 @@ from procfair.model import (
     MlpParams,
     _forward,
     _gap_pairs,
-    _logit_input_grads,
     _pair_sign_scatter,
     adam_init,
     adam_step,
@@ -87,7 +86,7 @@ def test_mlp_logits_match_fresh_temporaries_oracle(n, h):
 
 def _logit_grads(params, X):
     """Logit input gradients under the ReLU gate training uses."""
-    return _logit_input_grads(params, _forward(params, X))
+    return _forward(params, X, input_grads=True).G
 
 
 def test_input_gradient_linear_path():

@@ -2,10 +2,23 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from oracles import config_away_from_kinks, finite_diff_grads, max_rel_error, random_mlp
+from oracles import (
+    config_away_from_kinks,
+    finite_diff_grads,
+    fused_epoch_unblocked,
+    max_rel_error,
+    random_mlp,
+)
 from procfair.data import Dataset, SyntheticConfig, generate_synthetic, split
 from procfair.fairness import MmdConfig
-from procfair.model import MlpParams, _gap_pairs, bce_loss_grads, gpf_loss_grads, mlp_init
+from procfair.model import (
+    _BLOCK_ROWS,
+    MlpParams,
+    _gap_pairs,
+    bce_loss_grads,
+    gpf_loss_grads,
+    mlp_init,
+)
 from procfair.pairing import PairSet, select_eval_pairs
 from procfair.train import (
     MODES,
@@ -170,24 +183,20 @@ def test_fused_epoch_matches_finite_differences_and_standalone_terms(mode, alpha
 
 
 @pytest.mark.parametrize("mode", MODES)
-def test_fused_epoch_scratch_reuse_is_bit_identical(mode):
-    # train() passes one scratch dict to every epoch; each epoch overwrites
-    # the arrays the previous one left there.
-    rng = np.random.default_rng(4)
-    X = rng.normal(size=(40, 3))
-    y = rng.integers(0, 2, 40).astype(np.float64)
-    group = np.arange(40) % 2
-    pairs = _gap_pairs(PairSet(idx1=rng.integers(0, 40, 25), idx2=rng.integers(0, 40, 25),
-                               distances=np.zeros(25)), 40)
-    scratch: dict = {}
-    for seed in range(3):
-        params = random_mlp(np.random.default_rng(seed), 3, 5)
-        fresh = _fused_epoch(params, X, y, group, pairs, 0.5, 0.5, mode)
-        reused = _fused_epoch(params, X, y, group, pairs, 0.5, 0.5, mode, scratch)
-        assert fresh[0] == reused[0]
-        for key, g in fresh[1].items():
-            assert np.array_equal(g, reused[1][key])
-    assert scratch  # the arrays were kept
+@pytest.mark.parametrize("n", [_BLOCK_ROWS // 2 + 3, 2 * _BLOCK_ROWS, 2 * _BLOCK_ROWS + 37])
+def test_fused_epoch_matches_unblocked_oracle(mode, n):
+    # below one block, an exact multiple of the block, and a ragged last block
+    rng = np.random.default_rng(n)
+    params = random_mlp(rng, 6, 32)
+    X = rng.normal(size=(n, 6))
+    y = rng.integers(0, 2, n).astype(np.float64)
+    group = rng.integers(0, 2, n)
+    pairs = PairSet(idx1=np.sort(rng.integers(0, n, n // 2)), idx2=rng.integers(0, n, n // 2),
+                    distances=np.zeros(n // 2))
+    got_losses, got = _fused_epoch(params, X, y, group, _gap_pairs(pairs, n), 0.5, 0.7, mode)
+    want_losses, want = fused_epoch_unblocked(params, X, y, group, pairs, 0.5, 0.7, mode)
+    np.testing.assert_allclose(got_losses, want_losses, rtol=1e-12, atol=0.0)
+    assert max_rel_error(got, want) < 1e-12
 
 
 def test_evaluate_perfect_and_constant_classifiers(small_splits):
