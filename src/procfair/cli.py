@@ -230,14 +230,14 @@ def _cmd_explain_dump(args) -> int:
     cfg = _load_scenario(args)
     if args.model:
         params = load_params(args.model)
-        _, test_ds, pairs, background, _ = prepare_repetition(cfg, args.rep)
+        _, test_ds, pairs, background, mmd_cfg = prepare_repetition(cfg, args.rep)
     else:
         result = run_repetition(cfg, args.rep)
-        params, test_ds, pairs, background = (
-            result.params, result.test_ds, result.pairs, result.background,
+        params, test_ds, pairs, background, mmd_cfg = (
+            result.params, result.test_ds, result.pairs, result.background, result.mmd_cfg,
         )
     summary = emit_sensitive_attributions(
-        params, test_ds, pairs, args.out, background=background, cfg_hash=cfg.hash()
+        params, test_ds, pairs, args.out, background, mmd_cfg.seed, cfg.hash()
     )
     print(
         f"wrote sensitive attributions to {args.out} "

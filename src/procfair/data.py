@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .fairness import _advantaged, demographic_parity
-from .util import atomic_write_csv, atomic_write_json, from_fields
+from .util import atomic_write_csv, atomic_write_json, check_number_fields, from_fields
 
 ROLE_FEATURE = "feature"
 ROLE_LABEL = "label"
@@ -147,10 +147,11 @@ class SyntheticConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_number_fields(self)
         if not 0.0 <= self.p <= 1.0:
-            raise ValueError("p must lie in [0, 1]")
+            raise ValueError(f"p must lie in [0, 1], got {self.p!r}")
         if self.n_points < 4:
-            raise ValueError("n_points must be >= 4")
+            raise ValueError(f"n_points must be >= 4, got {self.n_points!r}")
 
 
 def load_csv(path: str | Path, schema: ColumnSchema) -> RawTable:

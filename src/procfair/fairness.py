@@ -217,6 +217,13 @@ def mmd_permutation_pvalue(e1, e2, cfg: MmdConfig) -> tuple[float, float]:
     return (1 + count) / (1 + cfg.n_permutations), observed
 
 
+def _pair_attributions(params, features, eval_pairs, background, seed: int) -> np.ndarray:
+    """KernelSHAP explanations (at the logit) of X'1 then X'2 in one call;
+    seed draws the coalitions when d is large enough to sample them."""
+    rows = np.asarray(features)[np.concatenate([eval_pairs.idx1, eval_pairs.idx2])]
+    return kernel_shap_batch(params.logits, rows, background, seed=seed)[0]
+
+
 def gpf_fae(params, features: np.ndarray, eval_pairs, cfg: MmdConfig,
             background: np.ndarray) -> float:
     """Procedural-fairness p-value of a model over matched pairs.
@@ -225,9 +232,5 @@ def gpf_fae(params, features: np.ndarray, eval_pairs, cfg: MmdConfig,
     the pairs; the permutation test compares their distributions. Closer to
     1.0 means the decision process treats matched cross-group points alike.
     """
-    feats = np.asarray(features, dtype=np.float64)
-    predict = params.logits
-    phi1, _ = kernel_shap_batch(predict, feats[eval_pairs.idx1], background, seed=cfg.seed)
-    phi2, _ = kernel_shap_batch(predict, feats[eval_pairs.idx2], background, seed=cfg.seed)
-    p, _ = mmd_permutation_pvalue(phi1, phi2, cfg)
-    return p
+    phi = _pair_attributions(params, features, eval_pairs, background, cfg.seed)
+    return mmd_permutation_pvalue(*np.split(phi, 2), cfg)[0]

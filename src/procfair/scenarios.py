@@ -25,8 +25,7 @@ from .data import (
     resample_unfair,
     split,
 )
-from .fairness import FairnessReport, MmdConfig
-from .explain import kernel_shap_batch
+from .fairness import FairnessReport, MmdConfig, _pair_attributions
 from .pairing import PairSet, select_eval_pairs
 from .train import TrainConfig, evaluate, train
 from .util import (VERSION, atomic_write_csv, atomic_write_text, check_number,
@@ -89,8 +88,13 @@ class ScenarioConfig:
                     _check_pearson_threshold(step["threshold"])
                 except ValueError as exc:
                     raise ValueError(f"pearson_select step {exc}") from None
-        from_fields(TrainConfig, self.train, "train config")  # validate eagerly
-        from_fields(MmdConfig, self.mmd, "mmd config")
+        if self.dataset["kind"] == "synthetic":  # validate eagerly, as train and mmd below
+            SyntheticConfig(p=self.dataset["p"],
+                            n_points=self.dataset.get("n", SyntheticConfig.n_points))
+        for name, cls in (("train", TrainConfig), ("mmd", MmdConfig)):
+            from_fields(cls, getattr(self, name), f"{name} config")
+            if "seed" in getattr(self, name):
+                raise ValueError(f"{name} config may not set 'seed': seeds come from master_seed")
         for name in ("dataset", "train", "mmd"):
             object.__setattr__(self, name, dict(getattr(self, name)))
         object.__setattr__(self, "steps", tuple(dict(s) for s in self.steps))
@@ -253,6 +257,7 @@ class RepetitionResult:
     test_ds: Dataset
     pairs: PairSet
     background: np.ndarray
+    mmd_cfg: MmdConfig
 
 
 def run_repetition(cfg: ScenarioConfig, rep: int) -> RepetitionResult:
@@ -261,7 +266,8 @@ def run_repetition(cfg: ScenarioConfig, rep: int) -> RepetitionResult:
     Failures raise StageError naming the pipeline stage.
     """
     rep_seed = cfg.master_seed + rep
-    train_ds, test_ds, pairs, background, mmd_cfg = prepare_repetition(cfg, rep)
+    prepared = prepare_repetition(cfg, rep)
+    train_ds, test_ds, pairs, background, mmd_cfg = prepared
     stage = "train"
     try:
         tcfg = TrainConfig(**{**cfg.train, "seed": seed_for(rep_seed, _TAG_TRAIN)})
@@ -271,7 +277,7 @@ def run_repetition(cfg: ScenarioConfig, rep: int) -> RepetitionResult:
             params, test_ds, pairs, mmd_cfg, background=background,
             train_seconds=history.seconds,
         )
-        return RepetitionResult(report, params, history, train_ds, test_ds, pairs, background)
+        return RepetitionResult(report, params, history, *prepared)
     except Exception as exc:
         raise StageError(stage, exc) from exc
 
@@ -396,10 +402,11 @@ def emit_sensitive_attributions(
     eval_pairs: PairSet,
     out: str | Path,
     background: np.ndarray,
+    seed: int,
     cfg_hash: str | None = None,
 ) -> dict:
     """Dump per-point sensitive-attribute SHAP values for the paired rows,
-    explained against the background rows.
+    explained against the background rows with gpf_fae's coalition seed.
 
     Writes (row_ref, group, shap_sensitive) for X'1 union X'2 plus summary
     rows with each group's mean; returns the summary statistics.
@@ -407,10 +414,8 @@ def emit_sensitive_attributions(
     if data.sensitive_col is None:
         raise ValueError("dataset has no sensitive column to explain")
     refs = np.concatenate([eval_pairs.idx1, eval_pairs.idx2])
-    rows = data.features[refs]
-    group = np.concatenate([np.ones(len(eval_pairs), dtype=np.int8),
-                            np.zeros(len(eval_pairs), dtype=np.int8)])
-    phi, _ = kernel_shap_batch(params.logits, rows, background)
+    group = np.repeat([1, 0], len(eval_pairs))
+    phi = _pair_attributions(params, data.features, eval_pairs, background, seed)
     shap_s = phi[:, data.sensitive_col]
     mean_s1 = float(shap_s[group == 1].mean())
     mean_s2 = float(shap_s[group == 0].mean())

@@ -18,7 +18,7 @@ from .data import Dataset, SyntheticConfig, dataset_dp, generate_synthetic, pear
 from .fairness import MmdConfig
 from .model import linear_train, override_sensitive_weight
 from .pairing import select_eval_pairs
-from .scenarios import ScenarioConfig, run_repetition, sample_background
+from .scenarios import ScenarioConfig, StageError, run_repetition, sample_background
 from .train import TrainConfig, evaluate
 from .train import train  # noqa: F401  (not called here; perfbench's tracer wraps this name)
 from .util import atomic_write_csv, seed_for
@@ -131,17 +131,22 @@ def p_sweep(
     """Regularized MLP training across a grid of dataset-bias levels.
 
     Each p is repetition 0 of a one-repetition synthetic scenario of
-    n_points with master seed `seed`, training train_cfg. Returns one
-    row per p: the training split's DP plus the trained model's accuracy,
-    DP, and both procedural metrics on the test split. A failing p raises
-    StageError naming its stage.
+    n_points with master seed `seed`, training train_cfg with the seed
+    the scenario derives. Returns one row per p: the training split's DP
+    plus the trained model's accuracy, DP, and both procedural metrics on
+    the test split. A failing p raises StageError naming its stage.
     """
     rows = []
     for p in _grid(p_range, count):
+        try:  # a scenario rejects a p outside [0, 1] at load; here it fails its point
+            SyntheticConfig(p=float(p), n_points=n_points)
+        except ValueError as exc:
+            raise StageError("dataset", exc) from exc
         cfg = ScenarioConfig(
             scenario_id="p_sweep", repetitions=1, master_seed=seed,
             dataset={"kind": "synthetic", "p": float(p), "n": n_points},
-            train=asdict(train_cfg), mmd={"n_permutations": n_permutations},
+            train={k: v for k, v in asdict(train_cfg).items() if k != "seed"},
+            mmd={"n_permutations": n_permutations},
         )
         result = run_repetition(cfg, 0)
         r = result.report

@@ -83,17 +83,6 @@ def dp_proxy_grads(params: MlpParams, X: np.ndarray, group: np.ndarray):
     return loss, grads
 
 
-def _fused_epoch(params, X, y, group, pairs, alpha, beta, mode):
-    """One epoch's (total, bce, gpf, dp_proxy) losses and combined gradient:
-    the mode's loss terms in one run of the loss engine. `pairs` is the
-    procedural mode's model._gap_pairs."""
-    (bce, gpf_val, dp_val), grads = _loss_grads(
-        params, X, y, group if mode == "dp_regularized" else None,
-        pairs if mode == "procedural" else None, alpha, beta,
-    )
-    return (bce + alpha * gpf_val + beta * dp_val, bce, gpf_val, dp_val), grads
-
-
 def train(data: Dataset, cfg: TrainConfig) -> tuple[MlpParams, TrainHistory]:
     """Full-batch Adam training; pairs are built once before the loop.
 
@@ -109,24 +98,16 @@ def train(data: Dataset, cfg: TrainConfig) -> tuple[MlpParams, TrainHistory]:
     params = mlp_init(data.n_features, cfg.hidden, cfg.seed)
     state = adam_init(params)
     y = data.labels.astype(np.float64)
-    X = data.features
+    group = data.group if cfg.mode == "dp_regularized" else None
 
-    losses = np.empty((4, cfg.epochs))  # rows: total, bce, gpf, dp_proxy
+    losses = np.empty((4, cfg.epochs))  # rows: TrainHistory's total, bce, gpf, dp_proxy
     for epoch in range(cfg.epochs):
-        losses[:, epoch], grads = _fused_epoch(
-            params, X, y, data.group, pairs, cfg.alpha, cfg.beta, cfg.mode
-        )
+        (bce, gpf, dp), grads = _loss_grads(
+            params, data.features, y, group, pairs, cfg.alpha, cfg.beta)
+        losses[:, epoch] = bce + cfg.alpha * gpf + cfg.beta * dp, bce, gpf, dp
         params, state = adam_step(state, params, grads, cfg.lr)
 
-    total, bce, gpf, dp_proxy = losses
-    history = TrainHistory(
-        total=total,
-        bce=bce,
-        gpf=gpf,
-        dp_proxy=dp_proxy,
-        seconds=time.perf_counter() - t0,
-    )
-    return params, history
+    return params, TrainHistory(*losses, seconds=time.perf_counter() - t0)
 
 
 def evaluate(

@@ -1,10 +1,17 @@
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from procfair import fairness
 from procfair.cli import main
 from procfair.data import ColumnSchema, load_csv, preprocess
+from procfair.explain import _EXHAUSTIVE_MAX_D
+from procfair.fairness import mmd_permutation_pvalue
 from procfair.model import mlp_init, save_params
+from procfair.scenarios import ScenarioConfig, prepare_repetition
+from test_csv_gate import _write_config
 
 
 def _write_small_scenario(tmp_path, **over):
@@ -191,10 +198,21 @@ def test_scenario_run_unknown_config_key_exit_1(tmp_path, capsys):
                       ("step op", {"steps": [{"op": ["pearson_select"], "threshold": 0.3}]}),
                       ("steps must be", {"steps": "pearson_select"}),
                       ("train config must be", {"train": 5}),
-                      ("mmd config must be", {"mmd": [1]})):
+                      ("mmd config must be", {"mmd": [1]}),
+                      # a synthetic dataset out of range fails before any repetition runs
+                      ("p must lie in [0, 1], got 1.5", {"dataset": {"kind": "synthetic",
+                                                                     "p": 1.5}}),
+                      ("n_points must be >= 4, got 2", {"dataset": {"kind": "synthetic",
+                                                                    "p": 0.65, "n": 2}}),
+                      # seeds are derived from master_seed, so a config cannot set one
+                      ("train config may not set 'seed': seeds come from master_seed",
+                       {"train": {"mode": "bce_only", "epochs": 40, "seed": 1}}),
+                      ("mmd config may not set 'seed'", {"mmd": {"n_permutations": 150,
+                                                                 "seed": 42}})):
         cfg = _write_small_scenario(tmp_path, **over)
         assert main(["scenario", "run", "--config", str(cfg), "--out", out_dir]) == 1
         assert key in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()  # no bundle, not even one of StageErrors
     cfg = _write_small_scenario(tmp_path)
     cfg.write_text(json.dumps({k: v for k, v in json.loads(cfg.read_text()).items()
                                if k != "scenario_id"}))
@@ -334,6 +352,26 @@ def test_explain_dump(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[1] == "row_ref,group,shap_sensitive"
     assert lines[-1].startswith("mean_s2,")
+
+
+def test_explain_dump_writes_the_attributions_gpf_fae_tested(tmp_path, monkeypatch):
+    # at d = 14 KernelSHAP samples its coalitions, so the dump agrees with
+    # the metric only when both explain with the repetition's MMD seed
+    monkeypatch.chdir(tmp_path)
+    _write_config(n_rows=1500, epochs=5)
+    tested = []
+
+    def spy(e1, e2, cfg):
+        tested.append(np.vstack([e1, e2]))
+        return mmd_permutation_pvalue(e1, e2, cfg)
+
+    monkeypatch.setattr(fairness, "mmd_permutation_pvalue", spy)
+    assert main(["explain", "dump", "--config", "cfg.json", "--out", "attr.csv"]) == 0
+    test_ds = prepare_repetition(ScenarioConfig.from_json("cfg.json"), 0)[1]
+    assert test_ds.n_features == 14 > _EXHAUSTIVE_MAX_D
+    rows = Path("attr.csv").read_text().strip().splitlines()[2:-2]
+    dumped = [float(line.split(",")[2]) for line in rows]
+    assert len(tested) == 1 and dumped == tested[0][:, test_ds.sensitive_col].tolist()
 
 
 def test_presets_cli(capsys):

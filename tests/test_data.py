@@ -179,10 +179,15 @@ def test_generate_synthetic_shapes_and_degenerate_p():
     assert ds.sensitive_col == 3
     # p=1: every positive row is advantaged, every negative row is not
     np.testing.assert_array_equal(ds.group, ds.labels)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"p must lie in \[0, 1\], got 1.2"):
         SyntheticConfig(p=1.2, n_points=100, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n_points must be >= 4, got 3"):
         SyntheticConfig(p=0.5, n_points=3, seed=0)
+    # wrong types name the field, not a numpy error later
+    for field, over in (("n_points", {"n_points": 10.5}), ("p", {"p": "0.5"}),
+                        ("seed", {"seed": True}), ("p", {"p": float("nan")})):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            SyntheticConfig(**{"p": 0.5, "n_points": 100, "seed": 0, **over})
 
 
 def test_generate_synthetic_is_zscored_and_deterministic(synth65):

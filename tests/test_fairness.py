@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import argsort_splits, per_call_pvalue
+from oracles import argsort_splits, per_call_pvalue, random_mlp
+from procfair import explain, fairness
+from procfair.explain import kernel_shap_batch
 from procfair.fairness import (
     FairnessReport,
     MmdConfig,
@@ -13,9 +15,12 @@ from procfair.fairness import (
     disparate_impact,
     equal_opportunity,
     equalized_odds,
+    gpf_fae,
     gpf_loss,
     mmd_permutation_pvalue,
 )
+from procfair.model import LinearParams
+from procfair.pairing import PairSet
 
 
 def test_demographic_parity_hand_counts():
@@ -271,3 +276,44 @@ def test_mmd_property_symmetric_and_zero_on_itself(pair):
     assert observed == pytest.approx(mmd_permutation_pvalue(b, a, cfg)[1], rel=1e-9, abs=1e-9)
     assert mmd_permutation_pvalue(a, a, cfg)[1] == 0.0
     assert observed >= 0.0
+
+
+@pytest.mark.parametrize("model,d,n,rtol", [
+    ("linear", 3, 100, 0.0),  # exhaustive coalitions
+    ("mlp", 14, 20, 0.0),  # 2048 sampled coalitions, blocks on 3 threads
+    ("mlp", 14, 37, 1e-14),  # 74 rows: the gemv remainder rows of explain._coalition_values
+])
+def test_gpf_fae_tests_the_attributions_of_one_call_per_side(monkeypatch, model, d, n, rtol):
+    # gpf_fae explains X'1 and X'2 in one KernelSHAP call; the sets it tests
+    # equal one call per side with the MMD seed
+    monkeypatch.setattr(explain, "_WORKERS", 3)
+    rng = np.random.default_rng(d + n)
+    if model == "linear":
+        params = LinearParams(w=rng.normal(size=d), b=0.3, sensitive_index=d - 1)
+    else:
+        params = random_mlp(rng, d, 8)
+    features = rng.normal(size=(3 * n, d))
+    pairs = PairSet(idx1=rng.permutation(3 * n)[:n], idx2=rng.integers(0, 3 * n, n),
+                    distances=np.zeros(n))
+    background = rng.normal(size=(100, d))
+    cfg = MmdConfig(n_permutations=100, seed=20250)
+    tested, calls = [], []
+
+    def spy(e1, e2, c):
+        tested.append((e1, e2))
+        return mmd_permutation_pvalue(e1, e2, c)
+
+    def counted(predict, X, *args, **kwargs):
+        calls.append(len(X))
+        return kernel_shap_batch(predict, X, *args, **kwargs)
+
+    monkeypatch.setattr(fairness, "mmd_permutation_pvalue", spy)
+    monkeypatch.setattr(fairness, "kernel_shap_batch", counted)
+    gpf_fae(params, features, pairs, cfg, background)
+    assert calls == [2 * n] and len(tested) == 1
+    for got, idx in zip(tested[0], (pairs.idx1, pairs.idx2)):
+        want, _ = kernel_shap_batch(params.logits, features[idx], background, seed=cfg.seed)
+        if rtol == 0.0:
+            assert got.tobytes() == want.tobytes()
+        else:  # relative to the largest attribution
+            assert np.abs(got - want).max() <= rtol * np.abs(want).max()

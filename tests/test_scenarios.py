@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -299,7 +300,8 @@ def test_emit_sensitive_attributions(tmp_path):
     pairs = result.pairs
     out = tmp_path / "attrs.csv"
     summary = emit_sensitive_attributions(result.params, result.test_ds, pairs, out,
-                                          background=result.background, cfg_hash="h")
+                                          background=result.background,
+                                          seed=result.mmd_cfg.seed, cfg_hash="h")
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "# config_hash=h"
     assert lines[1] == "row_ref,group,shap_sensitive"
@@ -351,3 +353,24 @@ def test_presets_are_valid():
         assert cfg.repetitions >= 1
     with pytest.raises(ValueError, match="unknown preset"):
         load_preset("nope")
+
+
+# sha256 of metric_payload() for one repetition of each preset at 2,000 rows
+# and 30 epochs. They pin the DP-regularized mode and the fake-sensitive
+# step, which no other byte gate crosses.
+GOLDEN_PAYLOAD_SHA256 = {
+    "synth065_dp_regularized": "6ddb468c31b47458b876d9a3ff69fb4b1104c6e173db0371838eda4b32fe3139",
+    "synth05_fsa_inverse": "0aa17957778b012c97585caf606dce501adb0466eb6f90c4523780280edef30e",
+}
+
+
+@pytest.mark.gate
+@pytest.mark.parametrize("preset", sorted(GOLDEN_PAYLOAD_SHA256))
+def test_small_preset_payload_pinned(preset):
+    raw = load_preset(preset)
+    raw.update(repetitions=1, dataset={**raw["dataset"], "n": 2000},
+               train={**raw["train"], "epochs": 30})
+    bundle = run_scenario(ScenarioConfig.from_dict(raw))
+    assert not bundle.errors
+    payload = hashlib.sha256(bundle.metric_payload().encode()).hexdigest()
+    assert payload == GOLDEN_PAYLOAD_SHA256[preset]

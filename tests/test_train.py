@@ -15,19 +15,29 @@ from procfair.model import (
     _BLOCK_ROWS,
     MlpParams,
     _gap_pairs,
+    _loss_grads,
     bce_loss_grads,
     gpf_loss_grads,
     mlp_init,
 )
-from procfair.pairing import PairSet, select_eval_pairs
+from procfair.pairing import PairSet, build_pairs, select_eval_pairs
 from procfair.train import (
     MODES,
     TrainConfig,
-    _fused_epoch,
     dp_proxy_grads,
     evaluate,
     train,
 )
+
+
+def _engine_epoch(params, X, y, group, pairs, alpha, beta, mode):
+    """(total, bce, gpf, dp_proxy) and the gradient from one run of the loss
+    engine given one training mode's inputs: labels always, the groups in
+    dp_regularized mode, the pairs in procedural mode."""
+    (bce, gpf, dp), grads = _loss_grads(
+        params, X, y, group if mode == "dp_regularized" else None,
+        _gap_pairs(pairs, X.shape[0]) if mode == "procedural" else None, alpha, beta)
+    return (bce + alpha * gpf + beta * dp, bce, gpf, dp), grads
 
 
 @pytest.fixture(scope="module")
@@ -170,7 +180,7 @@ def test_fused_epoch_matches_finite_differences_and_standalone_terms(mode, alpha
             continue  # too close to the absolute-value kink
 
         def epoch(q):
-            return _fused_epoch(q, X, y, group, _gap_pairs(pairs, m), alpha, beta, mode)
+            return _engine_epoch(q, X, y, group, pairs, alpha, beta, mode)
 
         (total, bce, gpf, dp), grads = epoch(params)
         assert bce == bce_loss_grads(params, X, y)[0]
@@ -193,10 +203,26 @@ def test_fused_epoch_matches_unblocked_oracle(mode, n):
     group = rng.integers(0, 2, n)
     pairs = PairSet(idx1=np.sort(rng.integers(0, n, n // 2)), idx2=rng.integers(0, n, n // 2),
                     distances=np.zeros(n // 2))
-    got_losses, got = _fused_epoch(params, X, y, group, _gap_pairs(pairs, n), 0.5, 0.7, mode)
+    got_losses, got = _engine_epoch(params, X, y, group, pairs, 0.5, 0.7, mode)
     want_losses, want = fused_epoch_unblocked(params, X, y, group, pairs, 0.5, 0.7, mode)
     np.testing.assert_allclose(got_losses, want_losses, rtol=1e-12, atol=0.0)
     assert max_rel_error(got, want) < 1e-12
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_train_first_history_row_is_the_engine_at_init(small_splits, mode):
+    # train hands the engine each mode's inputs: the first epoch's losses are
+    # the standalone terms at the initial parameters, the others reading 0
+    data = small_splits[1]
+    cfg = TrainConfig(mode=mode, alpha=0.5, beta=0.7, epochs=1, hidden=8, seed=4)
+    _, hist = train(data, cfg)
+    params = mlp_init(data.n_features, cfg.hidden, cfg.seed)
+    X, y = data.features, data.labels.astype(np.float64)
+    bce = bce_loss_grads(params, X, y)[0]
+    gpf = gpf_loss_grads(params, X, build_pairs(data))[0] if mode == "procedural" else 0.0
+    dp = dp_proxy_grads(params, X, data.group)[0] if mode == "dp_regularized" else 0.0
+    row = [hist.total[0], hist.bce[0], hist.gpf[0], hist.dp_proxy[0]]
+    assert row == [bce + 0.5 * gpf + 0.7 * dp, bce, gpf, dp]
 
 
 def test_evaluate_perfect_and_constant_classifiers(small_splits):

@@ -104,7 +104,7 @@ def _emit_attributions(tmp):
     pairs = select_eval_pairs(data, 5)
     params = mlp_init(data.n_features, 3, seed=0)
     return [tmp / "a.csv"], lambda: emit_sensitive_attributions(
-        params, data, pairs, tmp / "a.csv", background=data.features[:10], cfg_hash="h")
+        params, data, pairs, tmp / "a.csv", background=data.features[:10], seed=0, cfg_hash="h")
 
 
 def _bundle_write(tmp):
