@@ -11,7 +11,6 @@ from .util import VERSION as __version__
 from .data import (
     ColumnSchema,
     Dataset,
-    RawTable,
     SyntheticConfig,
     attach_fake_sensitive,
     dataset_dp,

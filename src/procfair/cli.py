@@ -126,11 +126,22 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _model_and_inputs(cfg: ScenarioConfig, args):
+    """(params, test_ds, pairs, background, mmd_cfg): the --model file, and
+    repetition --rep's data pipeline rebuilt so the model sees the same test
+    split. A model whose input size is not the split's feature count is
+    rejected."""
+    params = load_params(args.model)
+    _, test_ds, pairs, background, mmd_cfg = prepare_repetition(cfg, args.rep)
+    if params.input_size != test_ds.n_features:
+        raise ValueError(f"model {args.model} has input_size {params.input_size}, but scenario "
+                         f"{cfg.scenario_id!r} has {test_ds.n_features} features")
+    return params, test_ds, pairs, background, mmd_cfg
+
+
 def _cmd_evaluate(args) -> int:
     cfg = _load_scenario(args)
-    params = load_params(args.model)
-    # Rebuild the rep's data pipeline so the model sees the same test split.
-    _, test_ds, pairs, background, mmd_cfg = prepare_repetition(cfg, args.rep)
+    params, test_ds, pairs, background, mmd_cfg = _model_and_inputs(cfg, args)
     report = evaluate(params, test_ds, pairs, mmd_cfg, background=background)
     report.to_json(_out_dir(args) / "report.json", cfg.hash())
     print(f"evaluated {args.model}: acc={report.accuracy:.3f} "
@@ -229,8 +240,7 @@ def _cmd_sweep_grid(args) -> int:
 def _cmd_explain_dump(args) -> int:
     cfg = _load_scenario(args)
     if args.model:
-        params = load_params(args.model)
-        _, test_ds, pairs, background, mmd_cfg = prepare_repetition(cfg, args.rep)
+        params, test_ds, pairs, background, mmd_cfg = _model_and_inputs(cfg, args)
     else:
         result = run_repetition(cfg, args.rep)
         params, test_ds, pairs, background, mmd_cfg = (

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import json
+from collections import Counter
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -60,18 +61,6 @@ class ColumnSchema:
 
     def to_json(self, path: str | Path) -> None:
         atomic_write_json(path, asdict(self), indent=2)
-
-
-@dataclass
-class RawTable:
-    """A rectangular table of string cells as read from disk."""
-
-    columns: list[str]
-    rows: list[list[str]]
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.rows)
 
 
 @dataclass(frozen=True)
@@ -154,36 +143,34 @@ class SyntheticConfig:
             raise ValueError(f"n_points must be >= 4, got {self.n_points!r}")
 
 
-def load_csv(path: str | Path, schema: ColumnSchema) -> RawTable:
-    """Read a comma-separated UTF-8 file with a header row.
+def load_csv(path: str | Path) -> dict[str, list[str]]:
+    """Read a comma-separated UTF-8 file with a header row into a map from
+    column name to that column's cells, in header order.
 
     Lines starting with '#' are treated as comments. Ragged rows are
-    rejected with their 1-based data row number.
+    rejected with their 1-based data row number, and a header that repeats
+    a name is rejected with that name.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header: list[str] | None = None
+        records = (rec for rec in csv.reader(fh) if not (rec and rec[0].startswith("#")))
+        header = next(records, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file, no header row")
+        repeated = [name for name, count in Counter(header).items() if count > 1]
+        if repeated:
+            raise ValueError(f"{path}: header repeats column name(s) {repeated}")
         rows: list[list[str]] = []
-        for rec in reader:
-            if rec and rec[0].startswith("#"):
-                continue
-            if header is None:
-                header = rec
-                continue
+        for rec in records:
             if len(rec) != len(header):
                 raise ValueError(
                     f"row {len(rows) + 1} has {len(rec)} cells, expected {len(header)}"
                 )
             rows.append(rec)
-    if header is None:
-        raise ValueError(f"{path}: empty file, no header row")
-    for col in schema.roles:
-        if col not in header:
-            raise ValueError(f"schema column {col!r} missing from header {header}")
-    return RawTable(columns=header, rows=rows)
+    cells = map(list, zip(*rows)) if rows else ([] for _ in header)
+    return dict(zip(header, cells))
 
 
 def _parse_numeric(cells: list[str]) -> np.ndarray | None:
@@ -213,18 +200,23 @@ def zscore(col: np.ndarray) -> np.ndarray:
     return (col - mu) / sd
 
 
-def preprocess(raw: RawTable, schema: ColumnSchema) -> Dataset:
-    """Encode categoricals (first-appearance order), Z-score all features,
-    and mirror the sensitive column into group tags.
+def preprocess(columns: dict[str, list[str]], schema: ColumnSchema) -> Dataset:
+    """Apply schema to columns of string cells, as load_csv returns them:
+    encode categoricals (first-appearance order), Z-score all features, and
+    mirror the sensitive column into group tags.
 
     The sensitive column stays in the feature matrix (Z-scored) so that
     models and explanations can see it.
     """
-    if raw.n_rows == 0:
+    for col in schema.roles:
+        if col not in columns:
+            raise ValueError(f"schema column {col!r} missing from header {list(columns)}")
+    if len({len(cells) for cells in columns.values()}) != 1:
+        raise ValueError("columns must all hold the same number of cells")
+    if not columns[schema.label_col]:
         raise ValueError("cannot preprocess an empty table")
-    by_col = {name: [r[i] for r in raw.rows] for i, name in enumerate(raw.columns)}
 
-    label_cells = by_col[schema.label_col]
+    label_cells = columns[schema.label_col]
     if len(set(label_cells)) != 2:
         raise ValueError(
             f"label column {schema.label_col!r} has "
@@ -236,7 +228,7 @@ def preprocess(raw: RawTable, schema: ColumnSchema) -> Dataset:
     else:
         labels = _encode_first_appearance(label_cells).astype(np.int64)
 
-    sens_cells = by_col[schema.sensitive_col]
+    sens_cells = columns[schema.sensitive_col]
     sens_values = sorted(set(sens_cells))
     if len(sens_values) != 2:
         raise ValueError(
@@ -253,17 +245,16 @@ def preprocess(raw: RawTable, schema: ColumnSchema) -> Dataset:
     cols: list[np.ndarray] = []
     names: list[str] = []
     sensitive_col = None
-    for name in raw.columns:
+    for name, cells in columns.items():
         role = schema.roles.get(name, ROLE_DROP)
         if role not in (ROLE_FEATURE, ROLE_SENSITIVE):
             continue
-        parsed = _parse_numeric(by_col[name])
+        parsed = _parse_numeric(cells)
         if parsed is None:
-            parsed = _encode_first_appearance(by_col[name])
+            parsed = _encode_first_appearance(cells)
         elif not np.isfinite(parsed).all():
             row = int(np.argmin(np.isfinite(parsed)))
-            raise ValueError(f"column {name!r} row {row + 1}: non-finite value "
-                             f"{by_col[name][row]!r}")
+            raise ValueError(f"column {name!r} row {row + 1}: non-finite value {cells[row]!r}")
         if role == ROLE_SENSITIVE:
             sensitive_col = len(cols)
         cols.append(zscore(parsed))

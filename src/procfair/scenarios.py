@@ -54,6 +54,7 @@ _STEP_KEYS = {
     "attach_fake_sensitive": (("op",), ()),
 }
 _SPEC_NUMBERS = {"p": "float", "n": "int", "dp_threshold": "float", "threshold": "float"}
+_SPEC_STRINGS = ("path", "schema")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -78,6 +79,10 @@ class ScenarioConfig:
     master_seed: int = 0
 
     def __post_init__(self):
+        sid = self.scenario_id  # names the bundle file inside the output directory
+        if not isinstance(sid, str) or sid in ("", ".", "..") or "/" in sid or "\\" in sid:
+            raise ValueError("scenario_id must be a non-empty file name without '/' or '\\', "
+                             f"and not '.' or '..', got {sid!r}")
         _check_spec("dataset", self.dataset, "kind", _DATASET_KEYS)
         if not isinstance(self.steps, (list, tuple)):
             raise ValueError(f"steps must be a JSON list, got {type(self.steps).__name__}")
@@ -88,6 +93,9 @@ class ScenarioConfig:
                     _check_pearson_threshold(step["threshold"])
                 except ValueError as exc:
                     raise ValueError(f"pearson_select step {exc}") from None
+            if step["op"] == "resample_unfair" and not 0.0 <= step["dp_threshold"] < 1.0:
+                raise ValueError("resample_unfair step dp_threshold must lie in [0, 1), "
+                                 f"got {step['dp_threshold']!r}")
         if self.dataset["kind"] == "synthetic":  # validate eagerly, as train and mmd below
             SyntheticConfig(p=self.dataset["p"],
                             n_points=self.dataset.get("n", SyntheticConfig.n_points))
@@ -143,6 +151,9 @@ def _check_spec(section: str, spec, tag: str, table: dict) -> None:
     reject_unknown_keys(f"{kind} {section} config", spec, required + optional)
     for key in sorted(set(spec) & set(_SPEC_NUMBERS)):
         check_number(f"{kind} {section} {key}", spec[key], _SPEC_NUMBERS[key])
+    for key in sorted(set(spec) & set(_SPEC_STRINGS)):
+        if not isinstance(spec[key], str):
+            raise ValueError(f"{kind} {section} {key} must be a string, got {spec[key]!r}")
 
 
 @dataclass
@@ -191,7 +202,7 @@ def _make_dataset(spec: dict, seed: int) -> Dataset:
         n = spec.get("n", SyntheticConfig.n_points)
         return generate_synthetic(SyntheticConfig(p=spec["p"], n_points=n, seed=seed))
     schema = ColumnSchema.from_json(spec["schema"])
-    return preprocess(load_csv(spec["path"], schema), schema)
+    return preprocess(load_csv(spec["path"]), schema)
 
 
 def _apply_step(data: Dataset, step: dict, seed: int) -> Dataset:
@@ -242,8 +253,6 @@ def prepare_repetition(cfg: ScenarioConfig, rep: int):
         )
         mmd_cfg = MmdConfig(**{**cfg.mmd, "seed": seed_for(rep_seed, _TAG_MMD)})
         return train_ds, test_ds, pairs, background, mmd_cfg
-    except StageError:
-        raise
     except Exception as exc:
         raise StageError(stage, exc) from exc
 

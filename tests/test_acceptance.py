@@ -153,7 +153,7 @@ def test_criterion_06_sensitive_weight_sweep_shapes():
             f"right_mono={nondecreasing_right} left_U={u_shaped_left}")
 
 
-def test_criterion_07_outcome_regularizer_contrast():
+def test_criterion_07_outcome_regularizer_contrast(tmp_path):
     dpreg, _ = _bundle("synth065_dp_regularized")
     assert not dpreg.errors
     dp, gpf = _agg(dpreg, "dp"), _agg(dpreg, "gpf_fae")
@@ -162,7 +162,7 @@ def test_criterion_07_outcome_regularizer_contrast():
     result = run_repetition(cfg, 0)
     summary = emit_sensitive_attributions(
         result.params, result.test_ds, result.pairs,
-        "/tmp/procfair_dpreg_attr.csv", background=result.background, seed=result.mmd_cfg.seed,
+        tmp_path / "dpreg_attr.csv", background=result.background, seed=result.mmd_cfg.seed,
     )
     flip = summary["mean_s2"] > summary["mean_s1"]
     ok = dp <= 0.10 and gpf <= 0.15 and flip

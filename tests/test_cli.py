@@ -44,7 +44,7 @@ def test_generate_writes_csv_and_schema(tmp_path, capsys):
     schema_path = tmp_path / "data.csv.schema.json"
     assert schema_path.exists()
     schema = ColumnSchema.from_json(schema_path)
-    back = preprocess(load_csv(out, schema), schema)
+    back = preprocess(load_csv(out), schema)
     assert back.n_rows == 500 and back.n_features == 4
 
 
@@ -175,6 +175,20 @@ def test_evaluate_model_with_unknown_key_exit_1(tmp_path, capsys):
     assert "unknown model key(s): hiden_size" in capsys.readouterr().err
 
 
+def test_model_input_size_must_match_scenario_features_exit_1(tmp_path, capsys):
+    # a 4-input model against a 5-feature scenario is named as a mismatch,
+    # not a matmul error, and neither command writes its output
+    cfg = _write_small_scenario(tmp_path, steps=[{"op": "attach_fake_sensitive"}])
+    model = tmp_path / "model.json"
+    save_params(mlp_init(4, 8, seed=0), model)
+    for argv in (["evaluate", "--out", str(tmp_path / "eval")],
+                 ["explain", "dump", "--out", str(tmp_path / "attr.csv")]):
+        assert main([*argv, "--model", str(model), "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "has input_size 4, but scenario 'cli_small' has 5 features" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json", "scenario.json"]
+
+
 def test_scenario_run_unknown_config_key_exit_1(tmp_path, capsys):
     out_dir = str(tmp_path / "r")
     for key, over in (("repetition", {"repetition": 1}),
@@ -208,11 +222,21 @@ def test_scenario_run_unknown_config_key_exit_1(tmp_path, capsys):
                       ("train config may not set 'seed': seeds come from master_seed",
                        {"train": {"mode": "bce_only", "epochs": 40, "seed": 1}}),
                       ("mmd config may not set 'seed'", {"mmd": {"n_permutations": 150,
-                                                                 "seed": 42}})):
+                                                                 "seed": 42}}),
+                      # the bundle is named by scenario_id inside --out, and the
+                      # csv paths and the resample target fail before any repetition
+                      ("scenario_id", {"scenario_id": 5}),
+                      ("scenario_id", {"scenario_id": None}),
+                      ("scenario_id", {"scenario_id": "sub/../../escaped"}),
+                      ("csv dataset path must be a string",
+                       {"dataset": {"kind": "csv", "path": 5, "schema": "/m.json"}}),
+                      ("dp_threshold must lie in [0, 1), got 10",
+                       {"steps": [{"op": "resample_unfair", "dp_threshold": 10}]})):
         cfg = _write_small_scenario(tmp_path, **over)
         assert main(["scenario", "run", "--config", str(cfg), "--out", out_dir]) == 1
         assert key in capsys.readouterr().err
     assert not (tmp_path / "r").exists()  # no bundle, not even one of StageErrors
+    assert not list(tmp_path.glob("*.bundle.json"))
     cfg = _write_small_scenario(tmp_path)
     cfg.write_text(json.dumps({k: v for k, v in json.loads(cfg.read_text()).items()
                                if k != "scenario_id"}))

@@ -6,7 +6,6 @@ import pytest
 from procfair.data import (
     ColumnSchema,
     Dataset,
-    RawTable,
     SyntheticConfig,
     attach_fake_sensitive,
     dataset_dp,
@@ -31,35 +30,60 @@ def _schema(**extra):
 def test_load_csv_identity(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("a,b,y,s\n1,2,0,1\n3,4,1,0\n5,6,0,1\n")
-    raw = load_csv(path, _schema())
-    assert raw.n_rows == 3
-    assert raw.columns == ["a", "b", "y", "s"]
-    assert raw.rows[1] == ["3", "4", "1", "0"]
+    columns = load_csv(path)
+    assert list(columns) == ["a", "b", "y", "s"]
+    assert columns["a"] == ["1", "3", "5"]
+    assert columns["s"] == ["1", "0", "1"]
 
 
 def test_load_csv_ragged_row_names_row(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("a,b,y,s\n1,2,0,1\n3,4,1\n")
     with pytest.raises(ValueError, match="row 2"):
-        load_csv(path, _schema())
+        load_csv(path)
 
 
 def test_load_csv_missing_file():
     with pytest.raises(FileNotFoundError):
-        load_csv("/nonexistent/file.csv", _schema())
+        load_csv("/nonexistent/file.csv")
 
 
-def test_load_csv_header_mismatch(tmp_path):
+def test_load_csv_rejects_repeated_header_name(tmp_path):
+    # a map by column name would keep only the last of two same-named columns
     path = tmp_path / "t.csv"
-    path.write_text("a,b,y\n1,2,0\n")
-    with pytest.raises(ValueError, match="missing from header"):
-        load_csv(path, _schema())
+    path.write_text("a,a,label,sex\n1,40,3,1\n2,10,4,0\n")
+    with pytest.raises(ValueError, match=r"header repeats column name\(s\) \['a'\]"):
+        load_csv(path)
 
 
 def test_load_csv_skips_comment_lines(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("# config_hash=abc\na,b,y,s\n1,2,0,1\n2,1,1,0\n")
-    assert load_csv(path, _schema()).n_rows == 2
+    assert load_csv(path) == {"a": ["1", "2"], "b": ["2", "1"], "y": ["0", "1"], "s": ["1", "0"]}
+
+
+def test_load_csv_header_only_and_empty_file(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("# config_hash=abc\na,b,y,s\n")
+    assert load_csv(path) == {"a": [], "b": [], "y": [], "s": []}
+    with pytest.raises(ValueError, match="cannot preprocess an empty table"):
+        preprocess(load_csv(path), _schema())
+    path.write_text("# config_hash=abc\n")
+    with pytest.raises(ValueError, match="empty file, no header row"):
+        load_csv(path)
+
+
+def test_preprocess_header_mismatch():
+    columns = {"a": ["1", "2"], "b": ["2", "1"], "y": ["0", "1"]}
+    with pytest.raises(ValueError,
+                       match=r"schema column 's' missing from header \['a', 'b', 'y'\]"):
+        preprocess(columns, _schema())
+
+
+def test_preprocess_rejects_columns_of_unequal_length():
+    columns = {"a": ["1", "2"], "b": ["2", "1"], "y": ["0", "1"], "s": ["1"]}
+    with pytest.raises(ValueError, match="same number of cells"):
+        preprocess(columns, _schema())
 
 
 def test_schema_validation():
@@ -94,47 +118,47 @@ def test_schema_from_json_rejects_missing_key(tmp_path):
 
 
 def test_preprocess_categorical_first_appearance_order(tmp_path):
-    raw = RawTable(columns=["g", "y", "s"], rows=[["M", "0", "1"], ["F", "1", "0"], ["M", "0", "1"]])
+    columns = {"g": ["M", "F", "M"], "y": ["0", "1", "0"], "s": ["1", "0", "1"]}
     schema = ColumnSchema(roles={"g": "feature", "y": "label", "s": "sensitive"}, advantaged="1")
-    ds = preprocess(raw, schema)
+    ds = preprocess(columns, schema)
     # encoded [0,1,0], then Z-scored
     expected = zscore(np.array([0.0, 1.0, 0.0]))
     np.testing.assert_allclose(ds.features[:, 0], expected, atol=1e-12)
 
 
 def test_preprocess_numeric_zscore_population_std():
-    raw = RawTable(columns=["x", "y", "s"], rows=[["1", "0", "1"], ["2", "1", "0"], ["3", "0", "1"]])
+    columns = {"x": ["1", "2", "3"], "y": ["0", "1", "0"], "s": ["1", "0", "1"]}
     schema = ColumnSchema(roles={"x": "feature", "y": "label", "s": "sensitive"}, advantaged="1")
-    ds = preprocess(raw, schema)
+    ds = preprocess(columns, schema)
     np.testing.assert_allclose(
         ds.features[:, 0], [-1.2247448713915892, 0.0, 1.2247448713915892], atol=1e-9
     )
 
 
 def test_preprocess_constant_column_maps_to_zero():
-    raw = RawTable(columns=["c", "y", "s"], rows=[["5", "0", "1"], ["5", "1", "0"], ["5", "0", "1"]])
+    columns = {"c": ["5", "5", "5"], "y": ["0", "1", "0"], "s": ["1", "0", "1"]}
     schema = ColumnSchema(roles={"c": "feature", "y": "label", "s": "sensitive"}, advantaged="1")
-    ds = preprocess(raw, schema)
+    ds = preprocess(columns, schema)
     assert (ds.features[:, 0] == 0.0).all()
 
 
 def test_preprocess_bad_label_and_sensitive_cardinality():
     schema = ColumnSchema(roles={"y": "label", "s": "sensitive"}, advantaged="1")
     with pytest.raises(ValueError, match="label"):
-        preprocess(RawTable(["y", "s"], [["0", "1"], ["1", "0"], ["2", "1"]]), schema)
+        preprocess({"y": ["0", "1", "2"], "s": ["1", "0", "1"]}, schema)
     with pytest.raises(ValueError, match="sensitive"):
-        preprocess(RawTable(["y", "s"], [["0", "1"], ["1", "2"], ["1", "0"]]), schema)
+        preprocess({"y": ["0", "1", "1"], "s": ["1", "2", "0"]}, schema)
     with pytest.raises(ValueError, match="advantaged"):
         preprocess(
-            RawTable(["y", "s"], [["0", "a"], ["1", "b"]]),
+            {"y": ["0", "1"], "s": ["a", "b"]},
             ColumnSchema(roles={"y": "label", "s": "sensitive"}, advantaged="zzz"),
         )
 
 
 def test_preprocess_sensitive_kept_as_feature_and_mirrored():
-    raw = RawTable(columns=["x", "y", "s"], rows=[["1", "0", "M"], ["2", "1", "F"], ["3", "0", "M"]])
+    columns = {"x": ["1", "2", "3"], "y": ["0", "1", "0"], "s": ["M", "F", "M"]}
     schema = ColumnSchema(roles={"x": "feature", "y": "label", "s": "sensitive"}, advantaged="F")
-    ds = preprocess(raw, schema)
+    ds = preprocess(columns, schema)
     assert ds.feature_names == ("x", "s")
     assert ds.sensitive_col == 1
     np.testing.assert_array_equal(ds.group, [0, 1, 0])
@@ -143,11 +167,11 @@ def test_preprocess_sensitive_kept_as_feature_and_mirrored():
 
 @pytest.mark.parametrize("column, row, cell", [("x", 2, "nan"), ("x", 3, "-inf"), ("s", 2, "inf")])
 def test_preprocess_rejects_non_finite_numeric_cell(column, row, cell):
-    rows = [["1", "0", "1"], ["2", "1", "0"], ["3", "0", "1"]]
-    rows[row - 1][["x", "y", "s"].index(column)] = cell
+    columns = {"x": ["1", "2", "3"], "y": ["0", "1", "0"], "s": ["1", "0", "1"]}
+    columns[column][row - 1] = cell
     schema = ColumnSchema(roles={"x": "feature", "y": "label", "s": "sensitive"}, advantaged="1")
     with pytest.raises(ValueError, match=f"column '{column}' row {row}: non-finite value '{cell}'"):
-        preprocess(RawTable(columns=["x", "y", "s"], rows=rows), schema)
+        preprocess(columns, schema)
 
 
 def test_split_arithmetic_and_determinism():
@@ -331,7 +355,7 @@ def test_round_trip_csv(tmp_path, synth65_small):
     schema_path = tmp_path / "d.schema.json"
     schema.to_json(schema_path)
     reloaded = ColumnSchema.from_json(schema_path)
-    back = preprocess(load_csv(path, reloaded), reloaded)
+    back = preprocess(load_csv(path), reloaded)
     assert back.feature_names == synth65_small.feature_names
     np.testing.assert_allclose(back.features, synth65_small.features, atol=1e-9)
     np.testing.assert_array_equal(back.labels, synth65_small.labels)

@@ -118,6 +118,32 @@ def test_scenario_config_rejects_wrong_typed_values(field, over):
 
 
 @pytest.mark.parametrize("message, over", [
+    ("scenario_id must be a non-empty file name", {"scenario_id": 5}),
+    ("scenario_id must be a non-empty file name", {"scenario_id": None}),
+    ("scenario_id must be a non-empty file name", {"scenario_id": ""}),
+    ("scenario_id must be a non-empty file name", {"scenario_id": ".."}),
+    ("got 'sub/../../escaped'", {"scenario_id": "sub/../../escaped"}),
+    ("got 'sub\\\\x'", {"scenario_id": "sub\\x"}),
+    ("csv dataset path must be a string, got 5",
+     {"dataset": {"kind": "csv", "path": 5, "schema": "/m.json"}}),
+    ("csv dataset schema must be a string, got 1",
+     {"dataset": {"kind": "csv", "path": "/m.csv", "schema": 1}}),
+    ("resample_unfair step dp_threshold must lie in [0, 1), got 1.5",
+     {"steps": [{"op": "resample_unfair", "dp_threshold": 1.5}]}),
+    ("resample_unfair step dp_threshold must lie in [0, 1), got 10",
+     {"steps": [{"op": "resample_unfair", "dp_threshold": 10}]}),
+    ("resample_unfair step dp_threshold must lie in [0, 1), got -0.1",
+     {"steps": [{"op": "resample_unfair", "dp_threshold": -0.1}]}),
+])
+def test_scenario_config_rejects_bad_id_csv_spec_and_dp_threshold(message, over):
+    # the bundle file name, the csv paths and the resample target are checked
+    # at load time, naming the field, instead of writing outside the output
+    # directory or failing every repetition
+    with pytest.raises(ValueError, match=re.escape(message)):
+        small_scenario(**over)
+
+
+@pytest.mark.parametrize("message, over", [
     ("dataset must be a JSON object, got str", {"dataset": "synthetic"}),
     ("unknown dataset kind ['synthetic']", {"dataset": {"kind": ["synthetic"], "p": 0.65}}),
     ("unknown step op ['pearson_select']",
