@@ -189,9 +189,12 @@ def _cmd_scenario_compare(args) -> int:
     return 0
 
 
-def _check_sweep_flags(args) -> None:
-    """Check the common sweep flags before any data is made or model fitted."""
+def _check_sweep_flags(args, p_values) -> None:
+    """Check the common sweep flags, and each of p_values as a synthetic p,
+    before any data is made or model fitted."""
     _flag_checked("--n", lambda: SyntheticConfig(p=0.5, n_points=args.n))
+    for p in p_values:
+        _flag_checked("--p", lambda: SyntheticConfig(p=p, n_points=args.n))
     _flag_checked("--epochs", lambda: TrainConfig(epochs=args.epochs))
     _flag_checked("--perms", lambda: MmdConfig(n_permutations=args.perms))
     if "pearson" in args:
@@ -210,8 +213,8 @@ def _write_sweep(args, rows: list[dict], noun: str = "sweep") -> int:
 
 def _cmd_sweep_ws(args) -> int:
     ws_range, count = _parse_range("--ws", args.ws)
-    _check_sweep_flags(args)
-    cfg = _flag_checked("--p", lambda: SyntheticConfig(p=args.p, n_points=args.n, seed=args.seed))
+    _check_sweep_flags(args, [args.p])
+    cfg = SyntheticConfig(p=args.p, n_points=args.n, seed=args.seed)
     data = pearson_select(generate_synthetic(cfg), args.pearson)
     rows = sweep_ws(data, ws_range, count, args.seed, epochs=args.epochs,
                     n_permutations=args.perms, p=args.p)
@@ -220,7 +223,7 @@ def _cmd_sweep_ws(args) -> int:
 
 def _cmd_sweep_p(args) -> int:
     p_range, count = _parse_range("--p", args.p)
-    _check_sweep_flags(args)
+    _check_sweep_flags(args, p_range)
     cfg = _flag_checked(
         "--alpha", lambda: TrainConfig(mode="procedural", alpha=args.alpha, epochs=args.epochs))
     rows = p_sweep(p_range, count, cfg, args.seed, n_points=args.n, n_permutations=args.perms)
@@ -230,7 +233,7 @@ def _cmd_sweep_p(args) -> int:
 def _cmd_sweep_grid(args) -> int:
     p_range, p_count = _parse_range("--p", args.p)
     ws_range, ws_count = _parse_range("--ws", args.ws)
-    _check_sweep_flags(args)
+    _check_sweep_flags(args, p_range)
     rows = sweep_p_ws(p_range, ws_range, (p_count, ws_count), args.seed,
                       n_points=args.n, pearson_threshold=args.pearson, epochs=args.epochs,
                       n_permutations=args.perms)

@@ -37,6 +37,8 @@ class ColumnSchema:
     advantaged: str
 
     def __post_init__(self):
+        if not isinstance(self.roles, dict):
+            raise ValueError(f"schema roles must be a JSON object, got {type(self.roles).__name__}")
         bad = {r for r in self.roles.values() if r not in _ROLES}
         if bad:
             raise ValueError(f"unknown column roles: {sorted(bad)}")
@@ -117,14 +119,8 @@ class Dataset:
         return np.flatnonzero(self.group == group_value)
 
     def subset(self, idx: np.ndarray) -> "Dataset":
-        return Dataset(
-            features=self.features[idx],
-            labels=self.labels[idx],
-            group=self.group[idx],
-            feature_names=self.feature_names,
-            sensitive_col=self.sensitive_col,
-            group_names=self.group_names,
-        )
+        return replace(self, features=self.features[idx], labels=self.labels[idx],
+                       group=self.group[idx])
 
 
 @dataclass(frozen=True)
@@ -145,7 +141,8 @@ class SyntheticConfig:
 
 def load_csv(path: str | Path) -> dict[str, list[str]]:
     """Read a comma-separated UTF-8 file with a header row into a map from
-    column name to that column's cells, in header order.
+    column name to that column's cells, in header order. A leading
+    byte-order mark, as spreadsheet programs write, is skipped.
 
     Lines starting with '#' are treated as comments. Ragged rows are
     rejected with their 1-based data row number, and a header that repeats
@@ -154,7 +151,7 @@ def load_csv(path: str | Path) -> dict[str, list[str]]:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         records = (rec for rec in csv.reader(fh) if not (rec and rec[0].startswith("#")))
         header = next(records, None)
         if header is None:
@@ -360,13 +357,12 @@ def attach_fake_sensitive(data: Dataset, seed: int) -> Dataset:
     attribute; the original sensitive column stays an ordinary feature."""
     rng = np.random.default_rng(seed)
     fake = rng.integers(0, 2, size=data.n_rows).astype(np.float64)
-    feats = np.column_stack([data.features, zscore(fake)])
-    return Dataset(
-        features=feats,
-        labels=data.labels,
+    return replace(
+        data,
+        features=np.column_stack([data.features, zscore(fake)]),
         group=fake.astype(np.int8),
         feature_names=data.feature_names + ("fake_sensitive",),
-        sensitive_col=feats.shape[1] - 1,
+        sensitive_col=data.n_features,
         group_names=("1", "0"),
     )
 
@@ -383,26 +379,14 @@ def pearson_select(data: Dataset, threshold: float) -> Dataset:
     if data.sensitive_col is None:
         raise ValueError("dataset has no sensitive column to select against")
     _advantaged(data.group)  # both groups must have rows
-    g = data.group.astype(np.float64)
-    gc = (g - g.mean()) / g.std()
-    keep = []
-    for j in range(data.n_features):
-        if j == data.sensitive_col:
-            keep.append(j)
-            continue
-        col = data.features[:, j]
-        sd = col.std()
-        r = 0.0 if sd < _ZERO_VAR_TOL else float(((col - col.mean()) / sd * gc).mean())
-        if abs(r) < threshold:
-            keep.append(j)
-    keep_arr = np.array(keep, dtype=np.int64)
-    return Dataset(
-        features=data.features[:, keep_arr],
-        labels=data.labels,
-        group=data.group,
+    gc = zscore(data.group.astype(np.float64))
+    keep = [j for j in range(data.n_features) if j == data.sensitive_col
+            or abs((zscore(data.features[:, j]) * gc).mean()) < threshold]
+    return replace(
+        data,
+        features=data.features[:, keep],
         feature_names=tuple(data.feature_names[j] for j in keep),
-        sensitive_col=int(np.flatnonzero(keep_arr == data.sensitive_col)[0]),
-        group_names=data.group_names,
+        sensitive_col=keep.index(data.sensitive_col),
     )
 
 

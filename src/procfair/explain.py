@@ -149,9 +149,6 @@ def kernel_shap_batch(
     base = float(predict(background).mean())
     fx = predict(X)
 
-    if d == 1:
-        return (fx - base)[:, None], base
-
     if budget is None:
         budget = 2**d - 2 if d <= _EXHAUSTIVE_MAX_D else _DEFAULT_SAMPLE_BUDGET
     if not isinstance(budget, (int, np.integer)) or budget < min(d + 2, 2**d - 2):

@@ -19,6 +19,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .data import Dataset
+from .fairness import _advantaged
 
 _CHUNK = 128  # rows of a per screen block: one block is _CHUNK x len(b) x 8 B
 _EPS = np.finfo(np.float64).eps  # 2u, twice the unit roundoff
@@ -121,10 +122,8 @@ def build_pairs(data: Dataset) -> PairSet:
 
     The pair count k lands in [max(|X1|, |X2|), |X1| + |X2|].
     """
-    ia = data.indices(1)
-    ib = data.indices(0)
-    if ia.size == 0 or ib.size == 0:
-        raise ValueError("both groups must be non-empty to build pairs")
+    _advantaged(data.group)  # both groups must have rows
+    ia, ib = data.indices(1), data.indices(0)
     cols = pair_columns(data)
     xa = data.features[np.ix_(ia, cols)]
     xb = data.features[np.ix_(ib, cols)]

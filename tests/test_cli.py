@@ -87,6 +87,8 @@ def test_negative_seed_or_rep_exit_1(tmp_path, capsys, argv):
     (["sweep", "ws", "--ws", "1:-1:3"], "argument --ws: range must satisfy lo < hi"),
     (["sweep", "grid", "--p", "0.5:0.6:1"], "argument --p: range count must be >= 2"),
     (["sweep", "ws", "--p", "1.5"], "argument --p: p must lie in [0, 1]"),
+    (["sweep", "p", "--p", "0.9:1.1:2"], "argument --p: p must lie in [0, 1], got 1.1"),
+    (["sweep", "grid", "--p", "0.9:1.5:2"], "argument --p: p must lie in [0, 1], got 1.5"),
     (["generate", "--p", "1.5"], "argument --p: p must lie in [0, 1]"),
     (["generate", "--p", "0.5", "--n", "3"], "argument --n: n_points must be >= 4"),
     (["scenario", "run", "--preset", "synth065_baseline", "--reps", "0"],
@@ -358,10 +360,11 @@ def test_sweep_p_rejects_pearson_exit_1(tmp_path):
 
 
 def test_sweep_p_failing_point_exit_2(tmp_path, capsys):
-    # the second point, p = 1.1, is outside [0, 1]: its dataset stage fails
-    assert main(["sweep", "p", "--p", "0.9:1.1:2", "--n", "40", "--epochs", "5",
+    # 4 rows leave a one-row test split, which has no cross-group pair
+    assert main(["sweep", "p", "--p", "0.5:0.6:2", "--n", "4", "--epochs", "5",
                  "--perms", "100", "--out", str(tmp_path / "p.csv")]) == 2
-    assert "runtime failure: dataset:" in capsys.readouterr().err
+    assert "runtime failure: evaluate:" in capsys.readouterr().err
+    assert not (tmp_path / "p.csv").exists()
 
 
 def test_sweep_bad_range_exit_1(tmp_path):

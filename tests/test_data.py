@@ -62,6 +62,18 @@ def test_load_csv_skips_comment_lines(tmp_path):
     assert load_csv(path) == {"a": ["1", "2"], "b": ["2", "1"], "y": ["0", "1"], "s": ["1", "0"]}
 
 
+def test_load_csv_skips_byte_order_mark(tmp_path):
+    text = "age,sex,income\n40,1,0\n31,0,1\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbfage,")
+    assert load_csv(marked) == load_csv(plain)
+    schema = ColumnSchema(roles={"age": "feature", "sex": "sensitive", "income": "label"},
+                          advantaged="1")
+    assert preprocess(load_csv(marked), schema).feature_names == ("age", "sex")
+
+
 def test_load_csv_header_only_and_empty_file(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("# config_hash=abc\na,b,y,s\n")
@@ -91,6 +103,8 @@ def test_schema_validation():
         ColumnSchema(roles={"a": "feature"}, advantaged="1")
     with pytest.raises(ValueError, match="unknown column roles"):
         ColumnSchema(roles={"y": "label", "s": "sensitive", "a": "bogus"}, advantaged="1")
+    with pytest.raises(ValueError, match="schema roles must be a JSON object, got list"):
+        ColumnSchema(roles=["age"], advantaged="1")
 
 
 def _schema_file(tmp_path, obj):

@@ -194,6 +194,13 @@ def test_kernel_shap_d1_analytic():
                                   np.array([[1.0]]))
     assert phi[0, 0] == pytest.approx(4.0, abs=1e-12)  # f(x) - f(mu)
     assert base == pytest.approx(2.0)
+    # with no coalition between empty and full, phi is f(x) - base bit for bit
+    rng = np.random.default_rng(3)
+    X, bg = rng.normal(size=(6, 1)), rng.normal(size=(5, 1))
+    predict = _linear_predict(np.array([0.7]), b=-0.1)
+    phi, base = kernel_shap_batch(predict, X, bg)
+    assert base == float(predict(bg).mean())
+    np.testing.assert_array_equal(phi, (predict(X) - base)[:, None])
 
 
 def test_kernel_shap_exhaustive_matches_exact_shapley():
