@@ -39,6 +39,10 @@ class ColumnSchema:
     def __post_init__(self):
         if not isinstance(self.roles, dict):
             raise ValueError(f"schema roles must be a JSON object, got {type(self.roles).__name__}")
+        for col, r in self.roles.items():
+            if not isinstance(r, str):
+                raise ValueError(f"schema role of column {col!r} must be a string, "
+                                 f"got {type(r).__name__}")
         bad = {r for r in self.roles.values() if r not in _ROLES}
         if bad:
             raise ValueError(f"unknown column roles: {sorted(bad)}")

@@ -22,9 +22,9 @@ _DEFAULT_SAMPLE_BUDGET = 2048
 _PREDICT_ROWS = 8192
 # Calls of at least this many model rows (rows x coalitions x background)
 # share their blocks out over up to _WORKERS threads. Below it a thread costs
-# about what it saves; with 100 eval pairs and 100 background rows, every
-# exhaustive call at d <= 4, and so every sweep cell, stays on the calling
-# thread.
+# about what it saves; with both sides of 100 eval pairs (200 explained rows)
+# and 100 background rows, every exhaustive call at d <= 5 (200 x 30 x 100 =
+# 600,000 rows), and so every sweep cell, stays on the calling thread.
 _PARALLEL_MIN_ROWS = 2**20
 
 
@@ -75,9 +75,14 @@ def _coalition_values(
     background values elsewhere (marginal expectation over the background).
 
     The (row, coalition) grid of all rows is evaluated in blocks of at most
-    _PREDICT_ROWS model rows (at least one pair per block). Each pair's B
-    background rows stay consecutive and are averaged alone, so every
-    v[r, c] is the mean of the same predictions whatever the block size.
+    _PREDICT_ROWS model rows (at least one pair per block). A pair's B model
+    rows are laid out as one flat row of B * d values, so a block is one
+    np.where over the masks tiled to (C, B * d) bools and the rows tiled to
+    (n, B * d) floats, both built once per call: C * B * d bytes plus
+    n * B * d floats (about 3.3 MB at C = 2048, B = 100, d = 14, n = 40).
+    Each pair's B model rows stay consecutive and are averaged alone, so
+    every v[r, c] is the mean of the same predictions whatever the block
+    size.
     A BLAS matrix-vector kernel may round the rows past the last full
     unroll of a call (4 rows in OpenBLAS's Haswell kernel) differently in
     the last bit, so blocks of more than 8 pairs hold a multiple of 8. When
@@ -99,17 +104,21 @@ def _coalition_values(
     if step > 8:
         step -= step % 8
     starts = range(0, n * c, step)
+    masks_t = np.tile(masks, (1, b))  # (C, B*d)
+    X_t = np.tile(X, (1, b))  # (n, B*d)
+    background_flat = background.ravel()  # (B*d,)
 
     def evaluate(blocks: range) -> None:
         for start in blocks:
             rows, cols = np.divmod(np.arange(start, min(start + step, n * c)), c)
-            # mixed[pair, b, d]: coalition features from x, the rest from the background
-            mixed = np.where(masks[cols, None, :], X[rows, None, :], background[None, :, :])
+            # mixed[pair, b*d + j]: feature j of model row b, from x on the
+            # coalition and from background row b elsewhere
+            mixed = np.where(masks_t[cols], X_t[rows], background_flat)
             out[start:start + len(rows)] = (
                 predict(mixed.reshape(-1, d)).reshape(-1, b).mean(axis=1))
 
     workers = min(_WORKERS, len(starts)) if n * c * b >= _PARALLEL_MIN_ROWS else 1
-    if workers == 1:
+    if workers <= 1:  # 0 when there is no coalition to evaluate
         evaluate(starts)
     else:
         with ThreadPoolExecutor(workers - 1) as pool:

@@ -105,6 +105,9 @@ def test_schema_validation():
         ColumnSchema(roles={"y": "label", "s": "sensitive", "a": "bogus"}, advantaged="1")
     with pytest.raises(ValueError, match="schema roles must be a JSON object, got list"):
         ColumnSchema(roles=["age"], advantaged="1")
+    for role, kind in ((["feature"], "list"), ({"r": "label"}, "dict")):
+        with pytest.raises(ValueError, match=f"schema role of column 'a' must be a string, got {kind}"):
+            ColumnSchema(roles={"y": "label", "s": "sensitive", "a": role}, advantaged="1")
 
 
 def _schema_file(tmp_path, obj):

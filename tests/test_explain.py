@@ -74,6 +74,10 @@ def _with_workers(cases):
         ("rowwise", 5, 4, 7, "exhaustive"),
         ("rowwise", 5, 4, 101, "exhaustive"),
         ("rowwise", 5, 4, explain._PREDICT_ROWS + 1, "exhaustive"),
+        ("mlp", 1, 5, 100, "exhaustive"),  # no coalition at all
+        ("mlp", 2, 7, 100, "exhaustive"),
+        ("mlp", 14, 3, 1, "sampled"),  # B = 1: C * B is a multiple of the unroll
+        ("linear", 14, 5, 100, "sampled"),
     ]),
 )
 def test_coalition_values_match_per_row_oracle(monkeypatch, workers, model, d, n, b, masks):
@@ -98,6 +102,43 @@ def test_coalition_values_match_per_row_oracle(monkeypatch, workers, model, d, n
         explain._coalition_values(predict, X, bg, M),
         per_row_coalition_values(predict, X, bg, M),
     )
+
+
+@pytest.mark.gate
+@pytest.mark.parametrize(
+    "workers, d, n, b, masks",
+    _with_workers([
+        (3, 9, 100, "exhaustive"),
+        (14, 5, 37, "sampled"),
+        (2, 600, 7, "exhaustive"),  # several blocks
+        (4, 3, 1, "exhaustive"),
+    ]),
+)
+def test_coalition_values_predict_sees_per_row_oracle_rows(monkeypatch, workers, d, n, b, masks):
+    # predict returns each model row's position in the recording, so v[r, c]
+    # names where pair (r, c)'s B rows went; they must be the oracle's rows
+    monkeypatch.setattr(explain, "_WORKERS", workers)
+    monkeypatch.setattr(explain, "_PARALLEL_MIN_ROWS", 0)
+    rng = np.random.default_rng(d * 100 + n)
+    M = (explain._exhaustive_masks(d) if masks == "exhaustive"
+         else explain._sampled_masks(d, explain._DEFAULT_SAMPLE_BUDGET, rng))
+    X, bg = rng.normal(size=(n, d)), rng.normal(size=(b, d))
+    recorded, lock = [], threading.Lock()
+
+    def recording(Z):
+        with lock:
+            first = sum(map(len, recorded))
+            recorded.append(Z.copy())
+        return np.arange(first, first + len(Z), dtype=np.float64)
+
+    v = explain._coalition_values(recording, X, bg, M)
+    rows = np.concatenate(recorded)
+    assert len(rows) == n * len(M) * b
+    first = np.rint(v - (b - 1) / 2).astype(np.int64)
+    recorded.clear()
+    per_row_coalition_values(recording, X, bg, M)
+    oracle = np.concatenate(recorded).reshape(n, len(M), b, d)
+    assert rows[first[..., None] + np.arange(b)].tobytes() == oracle.tobytes()
 
 
 class _WorkerFailure(Exception):
@@ -125,7 +166,7 @@ def test_worker_block_error_reraises_and_leaves_no_thread(monkeypatch):
 
 
 def test_small_call_starts_no_thread(monkeypatch):
-    # an audit_grid cell: d = 3, 100 explained rows, 100 background rows
+    # an audit_grid cell: d = 3, both sides of 100 eval pairs, 100 background rows
     def no_pool(*args, **kwargs):
         raise AssertionError("a thread pool was started")
 
@@ -133,7 +174,7 @@ def test_small_call_starts_no_thread(monkeypatch):
     monkeypatch.setattr(explain, "_WORKERS", 4)
     rng = np.random.default_rng(8)
     params = LinearParams(w=rng.normal(size=3), b=0.1, sensitive_index=0)
-    X, bg = rng.normal(size=(100, 3)), rng.normal(size=(100, 3))
+    X, bg = rng.normal(size=(200, 3)), rng.normal(size=(100, 3))
     kernel_shap_batch(params.logits, X, bg)
     monkeypatch.setattr(explain, "_PARALLEL_MIN_ROWS", 0)  # the same call, sent to the pool
     with pytest.raises(AssertionError, match="thread pool"):
