@@ -16,8 +16,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .data import (SyntheticConfig, _check_pearson_threshold, dataset_dp, export_schema,
-                   generate_synthetic, pearson_select, write_csv)
+from .data import (ColumnSchema, SyntheticConfig, _check_pearson_threshold, dataset_dp,
+                   export_schema, generate_synthetic, pearson_select, write_csv)
 from .fairness import MmdConfig
 from .model import load_params, save_params
 from .scenarios import (
@@ -79,7 +79,8 @@ def _parse_range(flag: str, text: str) -> tuple[tuple[float, float], int]:
 
 
 def _load_scenario(args) -> ScenarioConfig:
-    """The config of --preset or --config, with --seed as its master seed."""
+    """The config of --preset or --config, with --seed as its master seed.
+    A csv dataset's schema file is read and checked here."""
     if args.preset:
         cfg = ScenarioConfig.from_dict(load_preset(args.preset))
     elif args.config:
@@ -88,6 +89,11 @@ def _load_scenario(args) -> ScenarioConfig:
         raise ValueError("provide --config FILE or --preset NAME")
     if args.seed is not None:
         cfg = replace(cfg, master_seed=args.seed)
+    if cfg.dataset["kind"] == "csv":  # a bad schema fails here, not in every repetition
+        try:
+            ColumnSchema.from_json(cfg.dataset["schema"])
+        except (OSError, ValueError) as exc:
+            raise ValueError(f"dataset.schema {cfg.dataset['schema']!r}: {exc}") from None
     return cfg
 
 

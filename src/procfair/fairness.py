@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
-from .explain import kernel_shap_batch
+from .explain import _WORKERS, kernel_shap_batch
 from .util import atomic_write_json, check_number_fields
 
 # Statistics at or below this are treated as exactly zero so that identical
@@ -174,16 +174,17 @@ def _split_stats(splits: np.ndarray, K: np.ndarray, total: float, row_sums: np.n
     return stats
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=_WORKERS)
 def _permutation_splits(seed: int, n: int, m: int, n_permutations: int) -> tuple[np.ndarray, ...]:
     """Random re-splits of a pool of n + m rows into sizes n and m.
 
     Row i of the plan marks the n rows drawn for the first set. The plan
     comes in read-only bool chunks of at most _PERM_CHUNK rows, one per
     GEMM of the permutation test. Each row draws n + m uniforms and takes
-    its n smallest, which is a uniformly random split. One plan is cached:
-    the cells of a sweep row share their seed and set sizes, so they share
-    the plan.
+    its n smallest, which is a uniformly random split. One plan per worker
+    thread is cached: the cells of a sweep row share their seed and set
+    sizes, so they share the plan, and sweep_p_ws runs up to _WORKERS rows
+    at once, which would evict each other's plan from a smaller cache.
     """
     rng = np.random.default_rng(seed)
     chunks = []

@@ -9,11 +9,13 @@ dict per cell, ready for write_sweep_csv.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
+from . import explain
 from .data import Dataset, SyntheticConfig, dataset_dp, generate_synthetic, pearson_select, split
 from .fairness import MmdConfig
 from .model import linear_train, override_sensitive_weight
@@ -102,21 +104,37 @@ def sweep_p_ws(
 
     Each p gets a fresh synthetic dataset of n_points, feature selection at
     pearson_threshold, and one logistic fit before its w_s row is swept.
-    Rows run p-major: every w_s of the first p, then of the next.
+    The p rows run on up to 4 threads (no more than the usable cores); the
+    returned rows are p-major, every w_s of the first p, then of the next,
+    and do not depend on the thread count. When rows fail, the lowest
+    failing row's exception is raised and rows not yet started are
+    cancelled.
     """
     n_p, n_ws = counts
     p_values = _grid(p_range, n_p)
     _grid(ws_range, n_ws)  # fail before the first dataset is made
 
-    rows: list[dict] = []
-    for i, p in enumerate(p_values):
+    def p_row(i: int) -> list[dict]:
+        p = float(p_values[i])
         data = generate_synthetic(
-            SyntheticConfig(p=float(p), n_points=n_points, seed=seed_for(seed, _TAG_DATA, i))
+            SyntheticConfig(p=p, n_points=n_points, seed=seed_for(seed, _TAG_DATA, i))
         )
         data = pearson_select(data, pearson_threshold)
-        rows += sweep_ws(data, ws_range, n_ws, seed_for(seed, 100, i), epochs=epochs,
-                         n_permutations=n_permutations, p=float(p))
-    return rows
+        return sweep_ws(data, ws_range, n_ws, seed_for(seed, 100, i), epochs=epochs,
+                        n_permutations=n_permutations, p=p)
+
+    # The p rows share nothing, so they run on up to explain._WORKERS threads;
+    # each row's cells are the same calls on the same inputs whichever thread
+    # runs it. A row's KernelSHAP calls stay below explain._PARALLEL_MIN_ROWS
+    # (the synthetic data has d <= 4: 200 x 14 x 100 model rows < 2^20), so
+    # no KernelSHAP pool nests inside this one.
+    pool = ThreadPoolExecutor(min(explain._WORKERS, n_p))
+    try:
+        futures = [pool.submit(p_row, i) for i in range(n_p)]
+        # in row order: rows stay p-major and the lowest failing row raises
+        return [row for future in futures for row in future.result()]
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def p_sweep(

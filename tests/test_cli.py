@@ -289,11 +289,52 @@ def test_scenario_run_unknown_or_missing_spec_key_exit_1(tmp_path, capsys):
         assert key in capsys.readouterr().err
 
 
+def _write_schema(tmp_path, obj) -> str:
+    path = tmp_path / "schema.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
 def test_train_runtime_failure_exit_2(tmp_path):
+    # the schema is valid, so the missing CSV fails inside the repetition
+    schema = _write_schema(tmp_path, {"roles": {"x": "feature", "y": "label", "s": "sensitive"},
+                                      "advantaged": "1"})
     cfg = _write_small_scenario(
-        tmp_path, dataset={"kind": "csv", "path": "/missing.csv", "schema": "/m.json"}
+        tmp_path, dataset={"kind": "csv", "path": "/missing.csv", "schema": schema}
     )
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+
+BAD_SCHEMAS = (
+    ("schema roles must be a JSON object, got list", {"roles": ["a"], "advantaged": "1"}),
+    ("missing schema key(s): advantaged", {"roles": {"y": "label", "s": "sensitive"}}),
+    ("No such file", None),
+)
+
+
+def _bad_schema_configs(tmp_path):
+    """(expected message, config path) of a csv scenario per bad schema."""
+    for message, obj in BAD_SCHEMAS:
+        schema = _write_schema(tmp_path, obj) if obj else str(tmp_path / "missing.json")
+        yield message, _write_small_scenario(
+            tmp_path, dataset={"kind": "csv", "path": "/missing.csv", "schema": schema})
+
+
+def test_train_bad_schema_exit_1(tmp_path, capsys):
+    # the schema is read when the config loads, before any repetition runs
+    for message, cfg in _bad_schema_configs(tmp_path):
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "dataset.schema" in err and message in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_scenario_run_bad_schema_exit_1(tmp_path, capsys):
+    for message, cfg in _bad_schema_configs(tmp_path):
+        assert main(["scenario", "run", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 1
+        err = capsys.readouterr().err
+        assert "dataset.schema" in err and message in err
+    assert not (tmp_path / "r").exists()  # no bundle of failed repetitions
 
 
 def test_sweep_grid_csv(tmp_path):

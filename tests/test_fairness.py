@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from oracles import argsort_splits, per_call_pvalue, random_mlp
 from procfair import explain, fairness
-from procfair.explain import kernel_shap_batch
+from procfair.explain import _WORKERS, kernel_shap_batch
 from procfair.fairness import (
     FairnessReport,
     MmdConfig,
@@ -203,7 +203,11 @@ def test_permutation_plan_cached_per_seed_and_read_only():
         plan[0][0, 0] = not plan[0][0, 0]
     other = MmdConfig(n_permutations=300, seed=6)
     cached_then_new = mmd_permutation_pvalue(e1, e2, other)
-    assert _permutation_splits.cache_info().currsize == 1  # one plan held, not one per seed
+    for seed in range(7, 6 + _WORKERS):  # _WORKERS + 1 seeds drawn in all
+        mmd_permutation_pvalue(e1, e2, MmdConfig(n_permutations=300, seed=seed))
+    # one plan held per worker, not one per seed: seed 5's plan was evicted
+    assert _permutation_splits.cache_info().currsize == _WORKERS
+    assert _permutation_splits(5, 30, 45, 300) is not plan
     _permutation_splits.cache_clear()
     assert cached_then_new == mmd_permutation_pvalue(e1, e2, other)
     assert cached_then_new == per_call_pvalue(e1, e2, other)

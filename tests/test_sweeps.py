@@ -1,8 +1,11 @@
 import hashlib
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from procfair import explain, sweeps
 from procfair.cli import main
 from procfair.data import SyntheticConfig, dataset_dp, generate_synthetic, pearson_select
 from procfair.explain import kernel_shap_batch
@@ -86,17 +89,23 @@ def test_sweep_p_ws_grid_and_planes():
     assert ws[int(np.argmin(_column(planes[2], "dp")))] < 0.0  # p = 0.65
 
 
+def _grid_rows_oracle(p_values, seed, n_points, threshold, ws_range, n_ws, **kw):
+    """sweep_ws on each p's own dataset, one after another on this thread."""
+    rows = []
+    for i, p in enumerate(p_values):
+        data = generate_synthetic(SyntheticConfig(p=float(p), n_points=n_points,
+                                                  seed=seed_for(seed, 0, i)))
+        rows += sweep_ws(pearson_select(data, threshold), ws_range, n_ws,
+                         seed_for(seed, 100, i), p=float(p), **kw)
+    return rows
+
+
 def test_sweep_p_ws_rows_are_sweep_ws_rows_per_p():
     # oracle: the grid is sweep_ws on each p's own dataset, concatenated
     rows = sweep_p_ws((0.4, 0.6), (-2.0, 2.0), (3, 4), seed=5, n_points=800,
                       pearson_threshold=0.25, epochs=60, n_permutations=100)
-    expected = []
-    for i, p in enumerate(np.linspace(0.4, 0.6, 3)):
-        data = generate_synthetic(SyntheticConfig(p=float(p), n_points=800, seed=seed_for(5, 0, i)))
-        data = pearson_select(data, 0.25)
-        expected += sweep_ws(data, (-2.0, 2.0), 4, seed_for(5, 100, i), epochs=60,
-                             n_permutations=100, p=float(p))
-    assert rows == expected
+    assert rows == _grid_rows_oracle(np.linspace(0.4, 0.6, 3), 5, 800, 0.25, (-2.0, 2.0), 4,
+                                     epochs=60, n_permutations=100)
 
 
 def test_sweep_grid_csv(tmp_path):
@@ -202,3 +211,52 @@ def test_sweep_p_csv_bytes_pinned(tmp_path):
 def test_sweep_ws_csv_bytes_pinned(tmp_path):
     argv = ["ws", "--p", "0.65", "--ws", "-5:5:3", "--n", "800", "--epochs", "30"]
     assert _sweep_csv_sha256(tmp_path, argv) == GOLDEN_WS_SHA256
+
+
+@pytest.mark.gate
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_sweep_grid_independent_of_row_threads(tmp_path, monkeypatch, workers):
+    # the p rows run on min(explain._WORKERS, rows) threads; neither the rows
+    # nor the CSV bytes may depend on how many
+    monkeypatch.setattr(explain, "_WORKERS", workers)
+    kw = dict(epochs=30, n_permutations=100)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, so a shared-state race shows
+    try:
+        rows = sweep_p_ws((0.4, 0.6), (-2.0, 2.0), (3, 3), seed=8, n_points=600,
+                          pearson_threshold=0.3, **kw)
+    finally:
+        sys.setswitchinterval(interval)
+    assert rows == _grid_rows_oracle(np.linspace(0.4, 0.6, 3), 8, 600, 0.3, (-2.0, 2.0), 3, **kw)
+    argv = ["grid", "--p", "0.5:0.65:2", "--ws", "-5:5:3", "--n", "800", "--epochs", "30"]
+    assert _sweep_csv_sha256(tmp_path, argv) == GOLDEN_GRID_SHA256
+
+
+@pytest.mark.gate
+def test_sweep_p_ws_raises_lowest_failing_row(monkeypatch):
+    # rows 1 and 2 both fail, row 2 first in time; the caller still gets
+    # row 1's error, as from a loop over the rows
+    monkeypatch.setattr(explain, "_WORKERS", 3)
+    seed, n_points = 3, 200
+    row_of = {}
+    for i, p in enumerate(np.linspace(0.4, 0.6, 4)):
+        data = generate_synthetic(SyntheticConfig(p=float(p), n_points=n_points,
+                                                  seed=seed_for(seed, 0, i)))
+        row_of[data.features.tobytes()] = i
+    row_2_failed = threading.Event()
+
+    def failing_select(data, threshold):
+        i = row_of[data.features.tobytes()]
+        if i == 2:
+            row_2_failed.set()
+            raise ValueError("row 2 failed")
+        if i == 1:
+            row_2_failed.wait(timeout=10)
+            raise ValueError("row 1 failed")
+        return pearson_select(data, threshold)
+
+    monkeypatch.setattr(sweeps, "pearson_select", failing_select)
+    with pytest.raises(ValueError, match="row 1 failed"):
+        sweep_p_ws((0.4, 0.6), (-1.0, 1.0), (4, 2), seed=seed, n_points=n_points,
+                   pearson_threshold=0.3, epochs=5, n_permutations=100)
+    assert row_2_failed.is_set()
