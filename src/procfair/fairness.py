@@ -13,10 +13,9 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
 
 from .explain import _WORKERS, kernel_shap_batch
-from .util import atomic_write_json, check_number_fields
+from .util import atomic_write_json, check_number_fields, euclidean
 
 # Statistics at or below this are treated as exactly zero so that identical
 # explanation sets yield p = 1.0 despite float summation noise.
@@ -138,23 +137,59 @@ def gpf_loss(e1, e2) -> float:
     return float(np.abs(a1 - a2).sum(axis=1).mean())
 
 
+@lru_cache(maxsize=_WORKERS)
+def _upper_triangle(size: int) -> tuple[np.ndarray, ...]:
+    """(rows, cols, upper, lower): the pairs above the diagonal of a
+    size x size matrix in pdist's condensed order, and their flat indices
+    in the matrix and in its transpose. Read-only."""
+    rows, cols = np.triu_indices(size, 1)
+    out = (rows, cols, rows * size + cols, cols * size + rows)
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
+def _median(x: np.ndarray) -> float:
+    """np.median of a non-empty 1-d float array, bit for bit, from one
+    single-pivot partition: np.median partitions at both middle ranks and
+    the last, which takes several times longer."""
+    if np.isnan(x).any():
+        return float("nan")
+    h = x.shape[0] // 2
+    part = np.partition(x, h)
+    if x.shape[0] % 2:
+        return float(part[h])
+    return float((part[:h].max() + part[h]) / 2)
+
+
 def _mmd_setup(e1, e2, cfg: MmdConfig):
     """Pool two explanation sets: (K, total, row_sums, n, observed MMD^2),
     with K the kernel matrix of the pooled rows and n the size of the first
-    set, or None when every pooled point is identical."""
+    set, or None when every pooled point is identical. K and the median
+    bandwidth equal a build from scipy's pdist and squareform and np.median
+    bit for bit."""
     a1, a2 = _attr_matrix(e1), _attr_matrix(e2)
     if a1.shape[0] == 0 or a2.shape[0] == 0:
         raise ValueError("both explanation sets must be non-empty")
     n = a1.shape[0]
-    dists = pdist(np.vstack([a1, a2]))
-    sigma = cfg.bandwidth if cfg.bandwidth is not None else float(np.median(dists))
+    pooled = np.vstack([a1, a2])
+    size = pooled.shape[0]
+    rows, cols, upper, lower = _upper_triangle(size)
+    dists = euclidean(pooled, pooled, rows, cols)
+    sigma = cfg.bandwidth if cfg.bandwidth is not None else _median(dists)
     if sigma == 0.0:
         return None
-    D = squareform(dists)
+    # the kernel of each distinct pair once, and of the diagonal's distance 0
+    r = np.append(dists, 0.0)
     if cfg.kernel == "exponential":
-        K = np.exp(-D / sigma)
+        k = np.exp(-r / sigma)
     else:
-        K = np.exp(-(D**2) / (2.0 * sigma**2))
+        k = np.exp(-(r**2) / (2.0 * sigma**2))
+    K = np.empty(size * size)
+    K[upper] = k[:-1]
+    K[lower] = k[:-1]
+    K[:: size + 1] = k[-1]
+    K = K.reshape(size, size)
     total = float(K.sum())
     row_sums = K.sum(axis=1)
     identity = np.arange(K.shape[0])[None] < n

@@ -6,9 +6,9 @@ matches).
 
 The neighbour search has one path for every dimension: a GEMM screen keeps
 each row's candidates within a proven rounding bound of its screened
-minimum, and one cdist against those candidates resolves them exactly, so
-indices and distances equal the argmin of full cdist rows, ties at the
-lowest index.
+minimum, and exact distances of the kept (row, candidate) pairs alone
+resolve them, so indices and distances equal the argmin of full cdist
+rows, ties at the lowest index.
 """
 
 from __future__ import annotations
@@ -16,10 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .data import Dataset
 from .fairness import _advantaged
+from .util import euclidean
 
 _CHUNK = 128  # rows of a per screen block: one block is _CHUNK x len(b) x 8 B
 _EPS = np.finfo(np.float64).eps  # 2u, twice the unit roundoff
@@ -70,8 +70,9 @@ def _nearest_cross(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray
     for bit. Per block of _CHUNK rows, one GEMM of [-2a, 1] against
     [b, |b|^2] screens q_ij = |b_j|^2 - 2 a_i.b_j, which is the squared
     distance less |a_i|^2. Every column with q_ij <= min_j q_ij + m_i is
-    kept, and one cdist of the block against the union of kept columns
-    (in index order) gives the exact distances and the argmin.
+    kept, and util.euclidean over the kept (row, column) pairs alone gives
+    the exact distances: each row takes its smallest, ties at the lowest
+    column.
 
     The margin is a proven bound. With u the unit roundoff,
     gamma_n = n u / (1 - n u) and T = max_j |b_j|, for any summation order
@@ -79,9 +80,10 @@ def _nearest_cross(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray
     Algorithms, 2nd ed., sec. 3.1):
       - the computed |b|^2 is within gamma_d |b|^2, and the screened
         q within gamma_{2d+1} (|a| + T)^2 of the exact q;
-      - cdist's rounded distance c (d differences, squares and sums, one
-        square root) has c^2 = D (1 + t), |t| <= gamma_{d+4}, D the exact
-        squared distance, and D <= (|a| + T)^2;
+      - the rounded distance c of util.euclidean (d differences, squares
+        and sums, one square root, as in cdist) has c^2 = D (1 + t),
+        |t| <= gamma_{d+4}, D the exact squared distance, and
+        D <= (|a| + T)^2;
     so a column whose computed distance is at most that of the screened
     argmin has q within (2 gamma_{2d+1} + 2 gamma_{d+4} / (1 - gamma_{d+4}))
     (|a| + T)^2 of the screened minimum, and adding the margin rounds by
@@ -106,13 +108,20 @@ def _nearest_cross(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray
         q = a2[s : s + _CHUNK] @ bq
         thr = q.min(axis=1) + margin[s : s + _CHUNK]
         keep = ~(q > thr[:, None])
-        del q  # the exact block below is then the only one held
-        cols = np.flatnonzero(keep.any(axis=0))
-        del keep
-        exact = cdist(a[s : s + _CHUNK], b[cols])
-        j = exact.argmin(axis=1)
-        nn[s : s + _CHUNK] = cols[j]
-        dd[s : s + _CHUNK] = exact[np.arange(j.shape[0]), j]
+        del q
+        # keep[:, cand] holds every kept pair; its flat indices run row-major,
+        # so each row's kept columns come in index order, and every row keeps
+        # at least its screened minimum
+        cand = np.flatnonzero(keep.any(axis=0))
+        rows, pos = np.divmod(np.flatnonzero(keep[:, cand]), cand.shape[0])
+        cols = cand[pos]
+        exact = euclidean(a, b, s + rows, cols)
+        block = np.arange(thr.shape[0])
+        low = np.minimum.reduceat(exact, np.searchsorted(rows, block))
+        hit = np.flatnonzero(exact == low[rows])
+        first = hit[np.searchsorted(rows[hit], block)]
+        nn[s : s + _CHUNK] = cols[first]
+        dd[s : s + _CHUNK] = exact[first]
     return nn, dd
 
 

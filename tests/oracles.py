@@ -5,10 +5,11 @@ finite differences for gradients, subset enumeration for rank-sum,
 direct probability-gradient recomputation for explanation values, a
 one-row-at-a-time coalition evaluation for KernelSHAP, and, on the
 library's kernel set-up, an argsort split draw made afresh on every call
-for the MMD permutation test, full cdist rows for nearest-neighbour
-pairing, per-column np.bincount for the gap term's sign scatter, the
-MLP logit written as one expression with fresh temporaries, and a training
-epoch computed over all rows at once.
+for the MMD permutation test, scipy's pdist, squareform and np.median for
+that kernel set-up, full cdist rows for nearest-neighbour pairing,
+per-column np.bincount for the gap term's sign scatter, the MLP logit
+written as one expression with fresh temporaries, and a training epoch
+computed over all rows at once.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist, squareform
 from scipy.special import expit
 
 from procfair.model import MlpParams
@@ -187,6 +188,20 @@ def per_call_pvalue(e1, e2, cfg) -> tuple[float, float]:
         stats[stats <= _STAT_SNAP] = 0.0
         count += int((stats >= observed).sum())
     return (1 + count) / (1 + cfg.n_permutations), observed
+
+
+def mmd_kernel_pdist(e1, e2, cfg) -> tuple[np.ndarray, float] | None:
+    """(K, sigma) of the MMD test on the pooled rows of e1 then e2, from
+    scipy's pdist and squareform and the median heuristic by np.median, or
+    None when every pooled point is identical."""
+    dists = pdist(np.vstack([np.atleast_2d(e1), np.atleast_2d(e2)]))
+    sigma = cfg.bandwidth if cfg.bandwidth is not None else float(np.median(dists))
+    if sigma == 0.0:
+        return None
+    D = squareform(dists)
+    if cfg.kernel == "exponential":
+        return np.exp(-D / sigma), sigma
+    return np.exp(-(D**2) / (2.0 * sigma**2)), sigma
 
 
 def nearest_cross_cdist(a: np.ndarray, b: np.ndarray, chunk: int = 1024):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import argsort_splits, per_call_pvalue, random_mlp
+from oracles import argsort_splits, mmd_kernel_pdist, per_call_pvalue, random_mlp
 from procfair import explain, fairness
 from procfair.explain import _WORKERS, kernel_shap_batch
 from procfair.fairness import (
@@ -21,6 +21,7 @@ from procfair.fairness import (
 )
 from procfair.model import LinearParams
 from procfair.pairing import PairSet
+from procfair.util import euclidean
 
 
 def test_demographic_parity_hand_counts():
@@ -186,6 +187,38 @@ def test_permutation_pvalue_bit_identical_to_per_call_draw(kernel):
         e2 = rng.normal(size=(m, 3))
         cfg = MmdConfig(kernel=kernel, n_permutations=n_perm, seed=int(rng.integers(1000)))
         assert mmd_permutation_pvalue(e1, e2, cfg) == per_call_pvalue(e1, e2, cfg)
+
+
+@pytest.mark.parametrize("kernel", ["exponential", "gaussian"])
+def test_mmd_kernel_and_bandwidth_match_pdist_oracle(kernel):
+    # Odd and even pair counts for the median, d up to 20, duplicated rows,
+    # a large common offset and last-bit perturbations; scipy stays the
+    # reference.
+    rng = np.random.default_rng(13)
+    for n, m, d, offset in ((100, 100, 3, 0.0), (100, 100, 14, 1e3), (1, 2, 1, 0.0),
+                            (37, 12, 20, -1e6), (5, 4, 2, 0.0)):
+        e1 = rng.normal(size=(n, d)) + offset
+        e2 = rng.normal(size=(m, d)) + offset
+        e2[: m // 2] = e1[rng.integers(0, n, size=m // 2)]
+        e2[m // 2 :] += rng.integers(0, 3, size=e2[m // 2 :].shape) * np.spacing(e2[m // 2 :])
+        for bandwidth in (1.5, None):
+            cfg = MmdConfig(kernel=kernel, bandwidth=bandwidth)
+            K, sigma = mmd_kernel_pdist(e1, e2, cfg)
+            assert np.array_equal(fairness._mmd_setup(e1, e2, cfg)[0], K)
+        pooled = np.vstack([e1, e2])
+        rows, cols, _, _ = fairness._upper_triangle(n + m)
+        assert fairness._median(euclidean(pooled, pooled, rows, cols)) == sigma
+    assert mmd_kernel_pdist(np.ones((3, 2)), np.ones((2, 2)), cfg) is None
+    assert fairness._mmd_setup(np.ones((3, 2)), np.ones((2, 2)), cfg) is None
+
+
+def test_median_equals_numpy_median():
+    rng = np.random.default_rng(14)
+    for size in (1, 2, 3, 10, 19900, 19901):
+        x = rng.normal(size=size)
+        for v in (x, np.round(x, 1), np.abs(x)):
+            assert fairness._median(v) == np.median(v)
+    assert np.isnan(fairness._median(np.array([1.0, np.nan, 2.0])))
 
 
 def test_permutation_plan_cached_per_seed_and_read_only():

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.spatial.distance import cdist, pdist
 
 from oracles import nearest_cross_cdist
 from procfair import pairing
 from procfair.data import Dataset
 from procfair.pairing import PairSet, build_pairs, select_eval_pairs
+from procfair.util import euclidean
 
 
 def _pairs_as_set(ps: PairSet):
@@ -183,7 +185,7 @@ def _two_groups(feats: np.ndarray, n1: int, sensitive_col=None) -> Dataset:
     seed=st.integers(0, 2**32 - 1),
     n1=st.integers(1, 300),
     n2=st.integers(1, 300),
-    d=st.sampled_from([1, 2, 3, 8, 13]),
+    d=st.sampled_from([1, 2, 3, 8, 13, 20]),
     levels=st.integers(1, 6),
     scale=st.sampled_from([1.0, 0.1, 1e-3]),
     dup_share=st.floats(0.0, 0.9),
@@ -214,8 +216,39 @@ def test_nearest_search_matches_cdist_oracle(seed, n1, n2, d, levels, scale, dup
         assert np.array_equal(getattr(got, field), getattr(want, field))
 
 
+@pytest.mark.parametrize("d", range(1, 21))
+def test_euclidean_equals_cdist_and_pdist_bit_for_bit(d):
+    # Duplicated rows, a large common offset and last-bit perturbations, as
+    # in the search oracle above: scipy stays the reference.
+    rng = np.random.default_rng(d)
+    for offset in (0.0, 1e3, -1e6):
+        x = rng.normal(size=(40, d)) + offset
+        y = rng.normal(size=(30, d)) + offset
+        y[:10] = x[rng.integers(0, 40, size=10)]
+        y[10:20] = x[:10] + rng.integers(0, 3, size=(10, d)) * np.spacing(x[:10])
+        ix, iy = np.indices((40, 30)).reshape(2, -1)
+        assert np.array_equal(euclidean(x, y, ix, iy).reshape(40, 30), cdist(x, y))
+        pooled = np.vstack([x, y])
+        rows, cols = np.triu_indices(70, 1)
+        assert np.array_equal(euclidean(pooled, pooled, rows, cols), pdist(pooled))
+
+
+def test_build_pairs_with_no_pairing_columns_pairs_at_distance_zero():
+    # The only feature is the sensitive column, so every cross-group distance
+    # is 0 and each row pairs with the other group's lowest index.
+    group = np.array([1, 0, 1, 1, 0, 0, 1])
+    ds = Dataset(features=group[:, None], labels=np.zeros(7, dtype=int), group=group,
+                 feature_names=("s",), sensitive_col=0)
+    ps = build_pairs(ds)
+    assert _pairs_as_set(ps) == {(0, 1), (2, 1), (3, 1), (6, 1), (0, 4), (0, 5)}
+    assert (ps.distances == 0.0).all()
+    nn, dd = pairing._nearest_cross(np.empty((300, 0)), np.empty((5, 0)))
+    assert (nn == 0).all() and (dd == 0.0).all()
+
+
 def test_build_pairs_memory_is_bounded_by_one_block():
-    # The cdist blocks set the working set: 128 rows x 3,000 columns x 8 B.
+    # The GEMM screen block sets the working set: 128 rows x 3,000 columns x
+    # 8 B. The exact distances cover only the kept pairs, about one per row.
     rng = np.random.default_rng(0)
     ds = _two_groups(rng.normal(size=(4500, 14)), 3000, sensitive_col=13)
     tracemalloc.start()

@@ -52,10 +52,22 @@ def test_every_export_is_used_outside_the_tests():
     assert _uses(ast.parse(probe), in_package=True) == {"a", "b"}
 
 
+def _loaded_after_cli_import(*modules: str) -> list[str]:
+    """Those of `modules` that a fresh interpreter holds after importing
+    procfair and procfair.cli."""
+    code = f"import sys, procfair, procfair.cli; print(*[m in sys.modules for m in {modules!r}])"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    return [m for m, loaded in zip(modules, out.stdout.split()) if loaded == "True"]
+
+
 def test_import_leaves_scipy_stats_unloaded():
     # scipy.stats is imported where the rank-sum test uses it, so a start of
     # the package or the CLI does not pay for it
-    code = "import sys, procfair, procfair.cli; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": str(SRC.parent)})
-    assert out.stdout.split() == ["False"]
+    assert _loaded_after_cli_import("scipy.stats") == []
+
+
+def test_import_leaves_scipy_spatial_and_linalg_unloaded():
+    # pairing and the MMD kernel take their distances from util.euclidean;
+    # scipy.spatial would also load scipy.linalg, about 10 MB resident
+    assert _loaded_after_cli_import("scipy.spatial", "scipy.linalg") == []
