@@ -17,7 +17,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .data import (ColumnSchema, SyntheticConfig, _check_pearson_threshold, dataset_dp,
-                   export_schema, generate_synthetic, pearson_select, write_csv)
+                   export_schema, generate_synthetic, write_csv)
 from .fairness import MmdConfig
 from .model import load_params, save_params
 from .scenarios import (
@@ -31,7 +31,7 @@ from .scenarios import (
     run_repetition,
     run_scenario,
 )
-from .sweeps import _grid, p_sweep, sweep_p_ws, sweep_ws, write_sweep_csv
+from .sweeps import _grid, _selected_synthetic, p_sweep, sweep_p_ws, sweep_ws, write_sweep_csv
 from .train import TrainConfig, evaluate
 from .util import atomic_write_json, config_hash
 
@@ -120,8 +120,8 @@ def _out_dir(args) -> Path:
 
 def _cmd_train(args) -> int:
     cfg = _load_scenario(args)
-    result = run_repetition(cfg, args.rep)
     out = _out_dir(args)
+    result = run_repetition(cfg, args.rep)
     save_params(result.params, out / "model.json")
     result.history.to_csv(out / "history.csv", config_hash=cfg.hash())
     report = result.report
@@ -147,9 +147,10 @@ def _model_and_inputs(cfg: ScenarioConfig, args):
 
 def _cmd_evaluate(args) -> int:
     cfg = _load_scenario(args)
+    out = _out_dir(args)
     params, test_ds, pairs, background, mmd_cfg = _model_and_inputs(cfg, args)
     report = evaluate(params, test_ds, pairs, mmd_cfg, background=background)
-    report.to_json(_out_dir(args) / "report.json", cfg.hash())
+    report.to_json(out / "report.json", cfg.hash())
     print(f"evaluated {args.model}: acc={report.accuracy:.3f} "
           f"gpf_fae={report.gpf_fae:.3f} dp={report.dp:.3f}")
     return 0
@@ -220,8 +221,7 @@ def _write_sweep(args, rows: list[dict], noun: str = "sweep") -> int:
 def _cmd_sweep_ws(args) -> int:
     ws_range, count = _parse_range("--ws", args.ws)
     _check_sweep_flags(args, [args.p])
-    cfg = SyntheticConfig(p=args.p, n_points=args.n, seed=args.seed)
-    data = pearson_select(generate_synthetic(cfg), args.pearson)
+    data = _selected_synthetic(args.p, args.n, args.seed, args.pearson)
     rows = sweep_ws(data, ws_range, count, args.seed, epochs=args.epochs,
                     n_permutations=args.perms, p=args.p)
     return _write_sweep(args, rows)

@@ -7,11 +7,11 @@ The pipeline explains the pre-sigmoid logit (pass `params.logits`).
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
 import numpy as np
+
+from . import util
 
 # Exhaustive coalition enumeration stays cheap up to this many features;
 # beyond it the solver samples this many coalitions.
@@ -21,20 +21,11 @@ _DEFAULT_SAMPLE_BUDGET = 2048
 # the mixed inputs and hidden activations of one block stay in cache.
 _PREDICT_ROWS = 8192
 # Calls of at least this many model rows (rows x coalitions x background)
-# share their blocks out over up to _WORKERS threads. Below it a thread costs
+# deal their blocks over util.WORKERS threads. Below it a thread costs
 # about what it saves; with both sides of 100 eval pairs (200 explained rows)
 # and 100 background rows, every exhaustive call at d <= 5 (200 x 30 x 100 =
 # 600,000 rows), and so every sweep cell, stays on the calling thread.
 _PARALLEL_MIN_ROWS = 2**20
-
-
-def _usable_cores() -> int:
-    if hasattr(os, "sched_getaffinity"):  # Linux: the cores this process may run on
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-_WORKERS = min(_usable_cores(), 4)
 
 
 def _exhaustive_masks(d: int) -> np.ndarray:
@@ -90,12 +81,10 @@ def _coalition_values(
     no call has such rows, as with one call per explained row, and the
     values equal that evaluation's bit for bit.
 
-    A call of at least _PARALLEL_MIN_ROWS model rows deals its blocks
-    round-robin over w = min(_WORKERS, blocks) threads: the calling thread
-    takes blocks 0, w, 2w, ... and a pool made for this call the rest. Each
-    block is the same predict call on the same rows whichever thread runs
-    it and writes only its own slice of the output, so the values do not
-    depend on w. predict must be safe to call from several threads at once.
+    A call of at least _PARALLEL_MIN_ROWS model rows deals its blocks over
+    threads with util.deal. Each block writes only its own slice of the
+    output, so the values do not depend on the thread count. predict must
+    be safe to call from several threads at once.
     """
     n, d = X.shape
     c, b = masks.shape[0], background.shape[0]
@@ -108,24 +97,15 @@ def _coalition_values(
     X_t = np.tile(X, (1, b))  # (n, B*d)
     background_flat = background.ravel()  # (B*d,)
 
-    def evaluate(blocks: range) -> None:
-        for start in blocks:
-            rows, cols = np.divmod(np.arange(start, min(start + step, n * c)), c)
-            # mixed[pair, b*d + j]: feature j of model row b, from x on the
-            # coalition and from background row b elsewhere
-            mixed = np.where(masks_t[cols], X_t[rows], background_flat)
-            out[start:start + len(rows)] = (
-                predict(mixed.reshape(-1, d)).reshape(-1, b).mean(axis=1))
+    def evaluate(k: int) -> None:
+        start = starts[k]
+        rows, cols = np.divmod(np.arange(start, min(start + step, n * c)), c)
+        # mixed[pair, b*d + j]: feature j of model row b, from x on the
+        # coalition and from background row b elsewhere
+        mixed = np.where(masks_t[cols], X_t[rows], background_flat)
+        out[start:start + len(rows)] = predict(mixed.reshape(-1, d)).reshape(-1, b).mean(axis=1)
 
-    workers = min(_WORKERS, len(starts)) if n * c * b >= _PARALLEL_MIN_ROWS else 1
-    if workers <= 1:  # 0 when there is no coalition to evaluate
-        evaluate(starts)
-    else:
-        with ThreadPoolExecutor(workers - 1) as pool:
-            futures = [pool.submit(evaluate, starts[i::workers]) for i in range(1, workers)]
-            evaluate(starts[::workers])
-            for future in futures:
-                future.result()
+    util.deal(evaluate, len(starts), util.WORKERS if n * c * b >= _PARALLEL_MIN_ROWS else 1)
     return out.reshape(n, c)
 
 

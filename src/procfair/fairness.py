@@ -14,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .explain import _WORKERS, kernel_shap_batch
-from .util import atomic_write_json, check_number_fields, euclidean
+from .explain import kernel_shap_batch
+from .util import WORKERS, atomic_write_json, check_number_fields, euclidean
 
 # Statistics at or below this are treated as exactly zero so that identical
 # explanation sets yield p = 1.0 despite float summation noise.
@@ -137,7 +137,7 @@ def gpf_loss(e1, e2) -> float:
     return float(np.abs(a1 - a2).sum(axis=1).mean())
 
 
-@lru_cache(maxsize=_WORKERS)
+@lru_cache(maxsize=WORKERS)
 def _upper_triangle(size: int) -> tuple[np.ndarray, ...]:
     """(rows, cols, upper, lower): the pairs above the diagonal of a
     size x size matrix in pdist's condensed order, and their flat indices
@@ -209,7 +209,7 @@ def _split_stats(splits: np.ndarray, K: np.ndarray, total: float, row_sums: np.n
     return stats
 
 
-@lru_cache(maxsize=_WORKERS)
+@lru_cache(maxsize=WORKERS)
 def _permutation_splits(seed: int, n: int, m: int, n_permutations: int) -> tuple[np.ndarray, ...]:
     """Random re-splits of a pool of n + m rows into sizes n and m.
 
@@ -218,7 +218,7 @@ def _permutation_splits(seed: int, n: int, m: int, n_permutations: int) -> tuple
     GEMM of the permutation test. Each row draws n + m uniforms and takes
     its n smallest, which is a uniformly random split. One plan per worker
     thread is cached: the cells of a sweep row share their seed and set
-    sizes, so they share the plan, and sweep_p_ws runs up to _WORKERS rows
+    sizes, so they share the plan, and sweep_p_ws runs up to WORKERS rows
     at once, which would evict each other's plan from a smaller cache.
     """
     rng = np.random.default_rng(seed)

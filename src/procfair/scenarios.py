@@ -5,6 +5,7 @@ attribution dumps."""
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from importlib import resources
@@ -231,6 +232,15 @@ class StageError(RuntimeError):
         self.cause = cause
 
 
+@contextmanager
+def in_stage(stage: str):
+    """Re-raise an exception of the with block as a StageError naming `stage`."""
+    try:
+        yield
+    except Exception as exc:
+        raise StageError(stage, exc) from exc
+
+
 def prepare_repetition(cfg: ScenarioConfig, rep: int):
     """Data pipeline for one repetition, up to (but excluding) training.
 
@@ -238,23 +248,18 @@ def prepare_repetition(cfg: ScenarioConfig, rep: int):
     raise StageError naming the pipeline stage.
     """
     rep_seed = cfg.master_seed + rep
-    stage = "dataset"
-    try:
+    with in_stage("dataset"):
         data = _make_dataset(cfg.dataset, seed_for(rep_seed, _TAG_DATA))
-        for i, step in enumerate(cfg.steps):
-            stage = step["op"]
+    for i, step in enumerate(cfg.steps):
+        with in_stage(step["op"]):
             data = _apply_step(data, step, seed_for(rep_seed, _TAG_STEP_BASE + i))
-        stage = "split"
+    with in_stage("split"):
         train_ds, test_ds = split(data, cfg.split_ratio, seed_for(rep_seed, _TAG_SPLIT))
-        stage = "evaluate"
+    with in_stage("evaluate"):
         pairs = select_eval_pairs(test_ds, cfg.n_eval_pairs)
-        background = sample_background(
-            train_ds, cfg.background_size, seed_for(rep_seed, _TAG_BG)
-        )
+        background = sample_background(train_ds, cfg.background_size, seed_for(rep_seed, _TAG_BG))
         mmd_cfg = MmdConfig(**{**cfg.mmd, "seed": seed_for(rep_seed, _TAG_MMD)})
-        return train_ds, test_ds, pairs, background, mmd_cfg
-    except Exception as exc:
-        raise StageError(stage, exc) from exc
+    return train_ds, test_ds, pairs, background, mmd_cfg
 
 
 @dataclass
@@ -277,18 +282,13 @@ def run_repetition(cfg: ScenarioConfig, rep: int) -> RepetitionResult:
     rep_seed = cfg.master_seed + rep
     prepared = prepare_repetition(cfg, rep)
     train_ds, test_ds, pairs, background, mmd_cfg = prepared
-    stage = "train"
-    try:
+    with in_stage("train"):
         tcfg = TrainConfig(**{**cfg.train, "seed": seed_for(rep_seed, _TAG_TRAIN)})
         params, history = train(train_ds, tcfg)
-        stage = "evaluate"
-        report = evaluate(
-            params, test_ds, pairs, mmd_cfg, background=background,
-            train_seconds=history.seconds,
-        )
-        return RepetitionResult(report, params, history, *prepared)
-    except Exception as exc:
-        raise StageError(stage, exc) from exc
+    with in_stage("evaluate"):
+        report = evaluate(params, test_ds, pairs, mmd_cfg, background=background,
+                          train_seconds=history.seconds)
+    return RepetitionResult(report, params, history, *prepared)
 
 
 def _aggregate(reports: list[dict]) -> dict:

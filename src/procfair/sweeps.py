@@ -9,18 +9,17 @@ dict per cell, ready for write_sweep_csv.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from . import explain
+from . import util
 from .data import Dataset, SyntheticConfig, dataset_dp, generate_synthetic, pearson_select, split
 from .fairness import MmdConfig
 from .model import linear_train, override_sensitive_weight
 from .pairing import select_eval_pairs
-from .scenarios import ScenarioConfig, run_repetition, sample_background
+from .scenarios import ScenarioConfig, in_stage, run_repetition, sample_background
 from .train import TrainConfig, evaluate
 from .train import train  # noqa: F401  (not called here; perfbench's tracer wraps this name)
 from .util import atomic_write_csv, seed_for
@@ -68,25 +67,36 @@ def sweep_ws(
     Expects feature-selected data (sensitive column tracked). The test
     split, evaluation pairs, and permutation seed are fixed across cells so
     every cell is exactly reproducible. One row per w_s value; ws_normalized
-    maps ws_range min-max onto [-1, 1].
+    maps ws_range min-max onto [-1, 1]. A failure after the range and
+    permutation count are checked raises StageError naming its stage.
     """
     ws_values = _grid(ws_range, count)
     lo, hi = ws_range
-
-    train_ds, test_ds = split(data, _SPLIT_RATIO, seed_for(seed, _TAG_SPLIT))
-    params = linear_train(train_ds, epochs=epochs, seed=seed_for(seed, _TAG_FIT))
-    pairs = select_eval_pairs(test_ds, _N_EVAL_PAIRS)
-    background = sample_background(train_ds, _BACKGROUND_SIZE, seed_for(seed, _TAG_BG))
+    ws_normalized = 2.0 * (ws_values - lo) / (hi - lo) - 1.0
     mmd_cfg = MmdConfig(n_permutations=n_permutations, seed=seed_for(seed, _TAG_MMD))
 
-    ws_normalized = 2.0 * (ws_values - lo) / (hi - lo) - 1.0
-    rows = []
-    for ws, ws_norm in zip(ws_values, ws_normalized):
-        model = override_sensitive_weight(params, float(ws))
-        r = evaluate(model, test_ds, pairs, mmd_cfg, background)
-        rows.append({"p": p, "ws": float(ws), "ws_normalized": float(ws_norm),
-                     "dp": r.dp, "gpf_fae": r.gpf_fae, "acc": r.accuracy})
+    with in_stage("split"):
+        train_ds, test_ds = split(data, _SPLIT_RATIO, seed_for(seed, _TAG_SPLIT))
+    with in_stage("train"):
+        params = linear_train(train_ds, epochs=epochs, seed=seed_for(seed, _TAG_FIT))
+    with in_stage("evaluate"):
+        pairs = select_eval_pairs(test_ds, _N_EVAL_PAIRS)
+        background = sample_background(train_ds, _BACKGROUND_SIZE, seed_for(seed, _TAG_BG))
+        rows = []
+        for ws, ws_norm in zip(ws_values, ws_normalized):
+            model = override_sensitive_weight(params, float(ws))
+            r = evaluate(model, test_ds, pairs, mmd_cfg, background)
+            rows.append({"p": p, "ws": float(ws), "ws_normalized": float(ws_norm),
+                         "dp": r.dp, "gpf_fae": r.gpf_fae, "acc": r.accuracy})
     return rows
+
+
+def _selected_synthetic(p: float, n_points: int, seed: int, pearson_threshold: float) -> Dataset:
+    """A synthetic dataset after pearson_select, in stages dataset and pearson_select."""
+    with in_stage("dataset"):
+        data = generate_synthetic(SyntheticConfig(p=p, n_points=n_points, seed=seed))
+    with in_stage("pearson_select"):
+        return pearson_select(data, pearson_threshold)
 
 
 def sweep_p_ws(
@@ -104,11 +114,10 @@ def sweep_p_ws(
 
     Each p gets a fresh synthetic dataset of n_points, feature selection at
     pearson_threshold, and one logistic fit before its w_s row is swept.
-    The p rows run on up to 4 threads (no more than the usable cores); the
-    returned rows are p-major, every w_s of the first p, then of the next,
-    and do not depend on the thread count. When rows fail, the lowest
-    failing row's exception is raised and rows not yet started are
-    cancelled.
+    The p rows share nothing and run on util.WORKERS threads through
+    util.deal; the rows come back p-major, every w_s of the first p, then of
+    the next, whatever the thread count. A failing row raises StageError
+    naming its stage, the lowest failing row's when several fail.
     """
     n_p, n_ws = counts
     p_values = _grid(p_range, n_p)
@@ -116,25 +125,11 @@ def sweep_p_ws(
 
     def p_row(i: int) -> list[dict]:
         p = float(p_values[i])
-        data = generate_synthetic(
-            SyntheticConfig(p=p, n_points=n_points, seed=seed_for(seed, _TAG_DATA, i))
-        )
-        data = pearson_select(data, pearson_threshold)
+        data = _selected_synthetic(p, n_points, seed_for(seed, _TAG_DATA, i), pearson_threshold)
         return sweep_ws(data, ws_range, n_ws, seed_for(seed, 100, i), epochs=epochs,
                         n_permutations=n_permutations, p=p)
 
-    # The p rows share nothing, so they run on up to explain._WORKERS threads;
-    # each row's cells are the same calls on the same inputs whichever thread
-    # runs it. A row's KernelSHAP calls stay below explain._PARALLEL_MIN_ROWS
-    # (the synthetic data has d <= 4: 200 x 14 x 100 model rows < 2^20), so
-    # no KernelSHAP pool nests inside this one.
-    pool = ThreadPoolExecutor(min(explain._WORKERS, n_p))
-    try:
-        futures = [pool.submit(p_row, i) for i in range(n_p)]
-        # in row order: rows stay p-major and the lowest failing row raises
-        return [row for future in futures for row in future.result()]
-    finally:
-        pool.shutdown(cancel_futures=True)
+    return [row for rows in util.deal(p_row, n_p, util.WORKERS) for row in rows]
 
 
 def p_sweep(

@@ -1,6 +1,6 @@
 """Shared plumbing: seed derivation, config hashing, record and config
-checks, atomic file writes, and the Euclidean distance that pairing and the
-MMD kernel share."""
+checks, atomic file writes, the Euclidean distance that pairing and the
+MMD kernel share, and the thread policy of the parallel loops."""
 
 from __future__ import annotations
 
@@ -11,12 +11,48 @@ import json
 import numbers
 import os
 import tempfile
+import threading
 from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
 
 VERSION = "0.1.0"
+
+
+# Threads of a parallel loop (deal), the calling thread included: the usable cores, at most 4.
+WORKERS = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+              else os.cpu_count() or 1, 4)
+
+
+def deal(fn, count: int, workers: int) -> list:
+    """[fn(0), ..., fn(count - 1)], dealt round-robin over w = min(workers,
+    count) threads: the calling thread runs indices 0, w, 2w, ... and a
+    thread started for the call each other slot, every slot in index order.
+    A slot starts no index above a recorded failure. Once every thread has
+    ended, the lowest failing index's exception is raised, as a loop would.
+    """
+    w = max(1, min(workers, count))
+    results, errors = [None] * count, {}  # errors: failing index -> exception
+
+    def run(slot: int) -> None:
+        for i in range(slot, count, w):
+            if errors and i > min(list(errors)):  # list(): one atomic snapshot
+                return
+            try:
+                results[i] = fn(i)
+            except BaseException as exc:
+                errors[i] = exc
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(1, w)]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def seed_for(master: int, *tags: int) -> int:

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from procfair import fairness
+from procfair import cli, fairness
 from procfair.cli import main
 from procfair.data import ColumnSchema, load_csv, preprocess
 from procfair.explain import _EXHAUSTIVE_MAX_D
@@ -165,6 +165,21 @@ def test_train_then_evaluate(tmp_path):
     # same split and pairs: evaluation reproduces the training-run metrics
     assert rep2["accuracy"] == report["accuracy"]
     assert rep2["gpf_fae"] == report["gpf_fae"]
+
+
+def test_train_and_evaluate_check_out_before_the_work(tmp_path, monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the repetition ran before --out was checked")
+
+    monkeypatch.setattr(cli, "run_repetition", no_work)
+    monkeypatch.setattr(cli, "prepare_repetition", no_work)
+    monkeypatch.delenv("PROCFAIR_OUT", raising=False)
+    cfg = _write_small_scenario(tmp_path)
+    model = tmp_path / "model.json"
+    save_params(mlp_init(4, 8, seed=0), model)
+    for argv in (["train"], ["evaluate", "--model", str(model)]):
+        assert main([*argv, "--config", str(cfg)]) == 1
+        assert "provide --out DIR or set PROCFAIR_OUT" in capsys.readouterr().err
 
 
 def test_evaluate_model_with_unknown_key_exit_1(tmp_path, capsys):
@@ -401,11 +416,15 @@ def test_sweep_p_rejects_pearson_exit_1(tmp_path):
 
 
 def test_sweep_p_failing_point_exit_2(tmp_path, capsys):
-    # 4 rows leave a one-row test split, which has no cross-group pair
-    assert main(["sweep", "p", "--p", "0.5:0.6:2", "--n", "4", "--epochs", "5",
-                 "--perms", "100", "--out", str(tmp_path / "p.csv")]) == 2
-    assert "runtime failure: evaluate:" in capsys.readouterr().err
-    assert not (tmp_path / "p.csv").exists()
+    # 4 or 6 rows leave a test split without a cross-group pair; every sweep
+    # reports the stage as a runtime failure
+    for argv in (["p", "--p", "0.5:0.6:2", "--n", "4"],
+                 ["ws", "--ws", "-1:1:2", "--n", "6"],
+                 ["grid", "--p", "0.5:0.6:2", "--ws", "-1:1:2", "--n", "6"]):
+        assert main(["sweep", *argv, "--epochs", "5", "--perms", "100",
+                     "--out", str(tmp_path / "s.csv")]) == 2
+        assert "runtime failure: evaluate:" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
 
 
 def test_sweep_bad_range_exit_1(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from scipy.special import expit
 
 from oracles import per_row_coalition_values, random_mlp
-from procfair import explain
+from procfair import explain, util
 from procfair.explain import exact_shapley, kernel_shap_batch
 from procfair.model import LinearParams, MlpParams, mlp_init, mlp_logits
 
@@ -82,7 +82,7 @@ def _with_workers(cases):
 )
 def test_coalition_values_match_per_row_oracle(monkeypatch, workers, model, d, n, b, masks):
     # every call, however small, deals its blocks over `workers` threads
-    monkeypatch.setattr(explain, "_WORKERS", workers)
+    monkeypatch.setattr(util, "WORKERS", workers)
     monkeypatch.setattr(explain, "_PARALLEL_MIN_ROWS", 0)
     rng = np.random.default_rng(d * 1000 + b)
     if model == "linear":
@@ -117,7 +117,7 @@ def test_coalition_values_match_per_row_oracle(monkeypatch, workers, model, d, n
 def test_coalition_values_predict_sees_per_row_oracle_rows(monkeypatch, workers, d, n, b, masks):
     # predict returns each model row's position in the recording, so v[r, c]
     # names where pair (r, c)'s B rows went; they must be the oracle's rows
-    monkeypatch.setattr(explain, "_WORKERS", workers)
+    monkeypatch.setattr(util, "WORKERS", workers)
     monkeypatch.setattr(explain, "_PARALLEL_MIN_ROWS", 0)
     rng = np.random.default_rng(d * 100 + n)
     M = (explain._exhaustive_masks(d) if masks == "exhaustive"
@@ -146,7 +146,7 @@ class _WorkerFailure(Exception):
 
 
 def test_worker_block_error_reraises_and_leaves_no_thread(monkeypatch):
-    monkeypatch.setattr(explain, "_WORKERS", 3)
+    monkeypatch.setattr(util, "WORKERS", 3)
     monkeypatch.setattr(explain, "_PARALLEL_MIN_ROWS", 0)
     rng = np.random.default_rng(5)
     w = rng.normal(size=14)
@@ -167,17 +167,17 @@ def test_worker_block_error_reraises_and_leaves_no_thread(monkeypatch):
 
 def test_small_call_starts_no_thread(monkeypatch):
     # an audit_grid cell: d = 3, both sides of 100 eval pairs, 100 background rows
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a thread pool was started")
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was started")
 
-    monkeypatch.setattr(explain, "ThreadPoolExecutor", no_pool)
-    monkeypatch.setattr(explain, "_WORKERS", 4)
+    monkeypatch.setattr(util.threading, "Thread", no_thread)
+    monkeypatch.setattr(util, "WORKERS", 4)
     rng = np.random.default_rng(8)
     params = LinearParams(w=rng.normal(size=3), b=0.1, sensitive_index=0)
     X, bg = rng.normal(size=(200, 3)), rng.normal(size=(100, 3))
     kernel_shap_batch(params.logits, X, bg)
-    monkeypatch.setattr(explain, "_PARALLEL_MIN_ROWS", 0)  # the same call, sent to the pool
-    with pytest.raises(AssertionError, match="thread pool"):
+    monkeypatch.setattr(explain, "_PARALLEL_MIN_ROWS", 0)  # the same call, dealt over threads
+    with pytest.raises(AssertionError, match="thread was started"):
         kernel_shap_batch(params.logits, X, bg)
 
 
@@ -188,9 +188,9 @@ def test_worker_count_stress_bit_identical(monkeypatch):
     params = random_mlp(rng, 14, 32)
     X, bg = rng.normal(size=(6, 14)), rng.normal(size=(40, 14))
     M = explain._sampled_masks(14, explain._DEFAULT_SAMPLE_BUDGET, rng)
-    monkeypatch.setattr(explain, "_WORKERS", 1)
+    monkeypatch.setattr(util, "WORKERS", 1)
     alone = explain._coalition_values(params.logits, X, bg, M)
-    monkeypatch.setattr(explain, "_WORKERS", 4)
+    monkeypatch.setattr(util, "WORKERS", 4)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -207,7 +207,7 @@ def test_worker_count_stress_bit_identical(monkeypatch):
 )
 def test_kernel_shap_batch_model_rows(monkeypatch, workers, d, n, b):
     # every block is evaluated once, whichever thread takes it
-    monkeypatch.setattr(explain, "_WORKERS", workers)
+    monkeypatch.setattr(util, "WORKERS", workers)
     monkeypatch.setattr(explain, "_PARALLEL_MIN_ROWS", 0)
     rng = np.random.default_rng(7)
     w = rng.normal(size=d)

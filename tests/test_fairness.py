@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oracles import argsort_splits, mmd_kernel_pdist, per_call_pvalue, random_mlp
-from procfair import explain, fairness
-from procfair.explain import _WORKERS, kernel_shap_batch
+from procfair import fairness, util
+from procfair.explain import kernel_shap_batch
 from procfair.fairness import (
     FairnessReport,
     MmdConfig,
@@ -21,7 +21,7 @@ from procfair.fairness import (
 )
 from procfair.model import LinearParams
 from procfair.pairing import PairSet
-from procfair.util import euclidean
+from procfair.util import WORKERS, euclidean
 
 
 def test_demographic_parity_hand_counts():
@@ -236,10 +236,10 @@ def test_permutation_plan_cached_per_seed_and_read_only():
         plan[0][0, 0] = not plan[0][0, 0]
     other = MmdConfig(n_permutations=300, seed=6)
     cached_then_new = mmd_permutation_pvalue(e1, e2, other)
-    for seed in range(7, 6 + _WORKERS):  # _WORKERS + 1 seeds drawn in all
+    for seed in range(7, 6 + WORKERS):  # WORKERS + 1 seeds drawn in all
         mmd_permutation_pvalue(e1, e2, MmdConfig(n_permutations=300, seed=seed))
     # one plan held per worker, not one per seed: seed 5's plan was evicted
-    assert _permutation_splits.cache_info().currsize == _WORKERS
+    assert _permutation_splits.cache_info().currsize == WORKERS
     assert _permutation_splits(5, 30, 45, 300) is not plan
     _permutation_splits.cache_clear()
     assert cached_then_new == mmd_permutation_pvalue(e1, e2, other)
@@ -323,7 +323,7 @@ def test_mmd_property_symmetric_and_zero_on_itself(pair):
 def test_gpf_fae_tests_the_attributions_of_one_call_per_side(monkeypatch, model, d, n, rtol):
     # gpf_fae explains X'1 and X'2 in one KernelSHAP call; the sets it tests
     # equal one call per side with the MMD seed
-    monkeypatch.setattr(explain, "_WORKERS", 3)
+    monkeypatch.setattr(util, "WORKERS", 3)
     rng = np.random.default_rng(d + n)
     if model == "linear":
         params = LinearParams(w=rng.normal(size=d), b=0.3, sensitive_index=d - 1)

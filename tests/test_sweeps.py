@@ -5,13 +5,13 @@ import threading
 import numpy as np
 import pytest
 
-from procfair import explain, sweeps
+from procfair import sweeps, util
 from procfair.cli import main
 from procfair.data import SyntheticConfig, dataset_dp, generate_synthetic, pearson_select
 from procfair.explain import kernel_shap_batch
 from procfair.model import LinearParams, override_sensitive_weight
 from procfair.fairness import MmdConfig, mmd_permutation_pvalue
-from procfair.scenarios import ScenarioConfig, run_repetition
+from procfair.scenarios import ScenarioConfig, StageError, run_repetition
 from procfair.sweeps import p_sweep, sweep_p_ws, sweep_ws, write_sweep_csv
 from procfair.train import TrainConfig
 from procfair.util import seed_for
@@ -216,9 +216,9 @@ def test_sweep_ws_csv_bytes_pinned(tmp_path):
 @pytest.mark.gate
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_sweep_grid_independent_of_row_threads(tmp_path, monkeypatch, workers):
-    # the p rows run on min(explain._WORKERS, rows) threads; neither the rows
+    # the p rows run on min(util.WORKERS, rows) threads; neither the rows
     # nor the CSV bytes may depend on how many
-    monkeypatch.setattr(explain, "_WORKERS", workers)
+    monkeypatch.setattr(util, "WORKERS", workers)
     kw = dict(epochs=30, n_permutations=100)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # switch threads often, so a shared-state race shows
@@ -236,7 +236,7 @@ def test_sweep_grid_independent_of_row_threads(tmp_path, monkeypatch, workers):
 def test_sweep_p_ws_raises_lowest_failing_row(monkeypatch):
     # rows 1 and 2 both fail, row 2 first in time; the caller still gets
     # row 1's error, as from a loop over the rows
-    monkeypatch.setattr(explain, "_WORKERS", 3)
+    monkeypatch.setattr(util, "WORKERS", 3)
     seed, n_points = 3, 200
     row_of = {}
     for i, p in enumerate(np.linspace(0.4, 0.6, 4)):
@@ -256,7 +256,7 @@ def test_sweep_p_ws_raises_lowest_failing_row(monkeypatch):
         return pearson_select(data, threshold)
 
     monkeypatch.setattr(sweeps, "pearson_select", failing_select)
-    with pytest.raises(ValueError, match="row 1 failed"):
+    with pytest.raises(StageError, match="pearson_select: row 1 failed"):
         sweep_p_ws((0.4, 0.6), (-1.0, 1.0), (4, 2), seed=seed, n_points=n_points,
                    pearson_threshold=0.3, epochs=5, n_permutations=100)
     assert row_2_failed.is_set()

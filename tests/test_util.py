@@ -1,8 +1,10 @@
-"""Every file procfair writes goes through util's write-temp-rename."""
+"""Every file procfair writes goes through util's write-temp-rename, and
+every parallel loop through util.deal."""
 
 import ast
 import json
 import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +20,8 @@ from procfair.scenarios import (ResultBundle, ScenarioConfig, emit_sensitive_att
                                 load_preset)
 from procfair.sweeps import write_sweep_csv
 from procfair.train import TrainHistory
-from procfair.util import atomic_write_csv, atomic_write_json
+from procfair import util
+from procfair.util import atomic_write_csv, atomic_write_json, deal
 
 PREVIOUS = "previous contents\n"
 SMALL_SCENARIO = {
@@ -226,3 +229,101 @@ def test_only_util_opens_files_for_writing():
     # the scan itself finds write-mode opens and skips read-mode ones
     probe = "open(p, 'w')\nopen(p)\nPath(p).open('a')\nopen(p, mode='rb')\np.write_text(s)"
     assert [line for line, _ in _write_calls(ast.parse(probe))] == [1, 3, 5]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+@pytest.mark.parametrize("count", [0, 1, 7])
+def test_deal_returns_results_in_index_order(count, workers):
+    # index i runs in slot i % w, slot 0 on the calling thread, each slot
+    # in index order
+    w, ran = max(1, min(workers, count)), []
+
+    def fn(i):
+        ran.append((threading.current_thread(), i))
+        return i * i
+
+    assert deal(fn, count, workers) == [i * i for i in range(count)]
+    slots = {}
+    for thread, i in ran:
+        slots.setdefault(thread, []).append(i)
+    assert sorted(slots.values()) == [list(range(k, count, w)) for k in range(min(w, count))]
+    if count:
+        assert slots[threading.current_thread()] == list(range(0, count, w))
+
+
+def test_deal_raises_the_lowest_failing_index_error():
+    # index 2 fails first in time and index 1 after it; the caller still gets
+    # index 1's error, as from a loop over the indices
+    index_2_failed = threading.Event()
+
+    def fn(i):
+        if i == 2:
+            index_2_failed.set()
+            raise ValueError("index 2 failed")
+        if i == 1:
+            index_2_failed.wait(timeout=10)
+            raise ValueError("index 1 failed")
+        return i
+
+    with pytest.raises(ValueError, match="index 1 failed"):
+        deal(fn, 4, 3)
+    assert index_2_failed.is_set()
+
+
+def test_deal_starts_no_index_above_a_recorded_failure():
+    # a slot stops at its own failure
+    started = []
+
+    def fail_at_2(i):
+        started.append(i)
+        if i == 2:
+            raise ValueError("index 2 failed")
+
+    with pytest.raises(ValueError, match="index 2 failed"):
+        deal(fail_at_2, 6, 1)
+    assert started == [0, 1, 2]
+
+    # index 1 fails on the other slot's thread, and index 0 returns only once
+    # that thread has ended, so the calling thread's slot starts no index 2
+    started, helper, helper_started = [], [], threading.Event()
+
+    def fail_at_1(i):
+        started.append(i)
+        if i == 1:
+            helper.append(threading.current_thread())
+            helper_started.set()
+            raise ValueError("index 1 failed")
+        if i == 0:
+            assert helper_started.wait(timeout=10)
+            helper[0].join(timeout=10)
+            assert not helper[0].is_alive()
+
+    with pytest.raises(ValueError, match="index 1 failed"):
+        deal(fail_at_1, 9, 2)
+    assert sorted(started) == [0, 1]
+
+
+def test_deal_on_one_slot_starts_no_thread(monkeypatch):
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(util.threading, "Thread", no_thread)
+    assert deal(lambda i: -i, 5, 1) == [0, -1, -2, -3, -4]
+    assert deal(lambda i: -i, 1, 4) == [0]
+    assert deal(lambda i: -i, 0, 4) == []
+    with pytest.raises(AssertionError, match="thread was started"):
+        deal(lambda i: -i, 2, 2)
+
+
+def test_deal_leaves_no_thread_behind():
+    before = threading.active_count()
+    assert deal(lambda i: i, 8, 4) == list(range(8))
+    assert threading.active_count() == before
+
+    def fail_off_the_calling_thread(i):
+        if threading.current_thread() is not threading.main_thread():
+            raise ValueError("helper failed")
+
+    with pytest.raises(ValueError, match="helper failed"):
+        deal(fail_off_the_calling_thread, 8, 4)
+    assert threading.active_count() == before
