@@ -36,6 +36,7 @@ from .model import (
 )
 from .explain import exact_shapley
 from .fairness import (
+    EvalSet,
     FairnessReport,
     MmdConfig,
     demographic_parity,

@@ -98,6 +98,7 @@ def _load_scenario(args) -> ScenarioConfig:
 
 
 def _cmd_generate(args) -> int:
+    _check_out(args.out)
     _flag_checked("--n", lambda: SyntheticConfig(p=0.5, n_points=args.n))
     cfg = _flag_checked("--p", lambda: SyntheticConfig(p=args.p, n_points=args.n, seed=args.seed))
     data = generate_synthetic(cfg)
@@ -111,11 +112,22 @@ def _cmd_generate(args) -> int:
     return 0
 
 
+def _check_out(out: str, directory: bool = False) -> Path:
+    """--out as a Path, checked before any work: it may not name an existing
+    file where a directory is written, nor an existing directory where a
+    file is written."""
+    path = Path(out)
+    if path.exists() and path.is_dir() != directory:
+        raise ValueError(f"argument --out: {out} exists and is "
+                         f"{'not a directory' if directory else 'a directory'}")
+    return path
+
+
 def _out_dir(args) -> Path:
     out = args.out or os.environ.get("PROCFAIR_OUT")
     if not out:
         raise ValueError("provide --out DIR or set PROCFAIR_OUT")
-    return Path(out)
+    return _check_out(out, directory=True)
 
 
 def _cmd_train(args) -> int:
@@ -133,23 +145,21 @@ def _cmd_train(args) -> int:
 
 
 def _model_and_inputs(cfg: ScenarioConfig, args):
-    """(params, test_ds, pairs, background, mmd_cfg): the --model file, and
-    repetition --rep's data pipeline rebuilt so the model sees the same test
-    split. A model whose input size is not the split's feature count is
-    rejected."""
+    """(params, eval_set): the --model file, and repetition --rep's data
+    pipeline rebuilt so the model sees the same test split. A model whose
+    input size is not the split's feature count is rejected."""
     params = load_params(args.model)
-    _, test_ds, pairs, background, mmd_cfg = prepare_repetition(cfg, args.rep)
-    if params.input_size != test_ds.n_features:
+    _, eval_set = prepare_repetition(cfg, args.rep)
+    if params.input_size != eval_set.test.n_features:
         raise ValueError(f"model {args.model} has input_size {params.input_size}, but scenario "
-                         f"{cfg.scenario_id!r} has {test_ds.n_features} features")
-    return params, test_ds, pairs, background, mmd_cfg
+                         f"{cfg.scenario_id!r} has {eval_set.test.n_features} features")
+    return params, eval_set
 
 
 def _cmd_evaluate(args) -> int:
     cfg = _load_scenario(args)
     out = _out_dir(args)
-    params, test_ds, pairs, background, mmd_cfg = _model_and_inputs(cfg, args)
-    report = evaluate(params, test_ds, pairs, mmd_cfg, background=background)
+    report = evaluate(*_model_and_inputs(cfg, args))
     report.to_json(out / "report.json", cfg.hash())
     print(f"evaluated {args.model}: acc={report.accuracy:.3f} "
           f"gpf_fae={report.gpf_fae:.3f} dp={report.dp:.3f}")
@@ -179,6 +189,8 @@ def _cmd_scenario_run(args) -> int:
 
 
 def _cmd_scenario_compare(args) -> int:
+    if args.out:
+        _check_out(args.out)
     bundles = [ResultBundle.from_json(p) for p in args.bundles]
     rows = compare_scenarios(bundles, metric=args.metric, alpha=args.alpha)
     for row in rows:
@@ -199,6 +211,7 @@ def _cmd_scenario_compare(args) -> int:
 def _check_sweep_flags(args, p_values) -> None:
     """Check the common sweep flags, and each of p_values as a synthetic p,
     before any data is made or model fitted."""
+    _check_out(args.out)
     _flag_checked("--n", lambda: SyntheticConfig(p=0.5, n_points=args.n))
     for p in p_values:
         _flag_checked("--p", lambda: SyntheticConfig(p=p, n_points=args.n))
@@ -247,17 +260,14 @@ def _cmd_sweep_grid(args) -> int:
 
 
 def _cmd_explain_dump(args) -> int:
+    _check_out(args.out)
     cfg = _load_scenario(args)
     if args.model:
-        params, test_ds, pairs, background, mmd_cfg = _model_and_inputs(cfg, args)
+        params, eval_set = _model_and_inputs(cfg, args)
     else:
         result = run_repetition(cfg, args.rep)
-        params, test_ds, pairs, background, mmd_cfg = (
-            result.params, result.test_ds, result.pairs, result.background, result.mmd_cfg,
-        )
-    summary = emit_sensitive_attributions(
-        params, test_ds, pairs, args.out, background, mmd_cfg.seed, cfg.hash()
-    )
+        params, eval_set = result.params, result.eval_set
+    summary = emit_sensitive_attributions(params, eval_set, args.out, cfg.hash())
     print(
         f"wrote sensitive attributions to {args.out} "
         f"(mean s1 {summary['mean_s1']:+.4f}, mean s2 {summary['mean_s2']:+.4f})"

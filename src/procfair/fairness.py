@@ -11,11 +11,16 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .explain import kernel_shap_batch
 from .util import WORKERS, atomic_write_json, check_number_fields, euclidean
+
+if TYPE_CHECKING:  # data and pairing import this module
+    from .data import Dataset
+    from .pairing import PairSet
 
 # Statistics at or below this are treated as exactly zero so that identical
 # explanation sets yield p = 1.0 despite float summation noise.
@@ -42,6 +47,18 @@ class MmdConfig:
             raise ValueError("bandwidth must be positive when given")
         if self.n_permutations < 100:
             raise ValueError("n_permutations must be >= 100")
+
+
+@dataclass(frozen=True)
+class EvalSet:
+    """What a model is audited on: the test split, its matched cross-group
+    pairs, the KernelSHAP background (a sample of the training split), and
+    the permutation test, whose seed also draws KernelSHAP's coalitions."""
+
+    test: Dataset
+    pairs: PairSet
+    background: np.ndarray
+    mmd: MmdConfig
 
 
 @dataclass(kw_only=True)
@@ -253,20 +270,19 @@ def mmd_permutation_pvalue(e1, e2, cfg: MmdConfig) -> tuple[float, float]:
     return (1 + count) / (1 + cfg.n_permutations), observed
 
 
-def _pair_attributions(params, features, eval_pairs, background, seed: int) -> np.ndarray:
+def _pair_attributions(params, eval_set: EvalSet) -> np.ndarray:
     """KernelSHAP explanations (at the logit) of X'1 then X'2 in one call;
-    seed draws the coalitions when d is large enough to sample them."""
-    rows = np.asarray(features)[np.concatenate([eval_pairs.idx1, eval_pairs.idx2])]
-    return kernel_shap_batch(params.logits, rows, background, seed=seed)[0]
+    the MMD seed draws the coalitions when d is large enough to sample them."""
+    rows = eval_set.test.features[np.concatenate([eval_set.pairs.idx1, eval_set.pairs.idx2])]
+    return kernel_shap_batch(params.logits, rows, eval_set.background, seed=eval_set.mmd.seed)[0]
 
 
-def gpf_fae(params, features: np.ndarray, eval_pairs, cfg: MmdConfig,
-            background: np.ndarray) -> float:
+def gpf_fae(params, eval_set: EvalSet) -> float:
     """Procedural-fairness p-value of a model over matched pairs.
 
     KernelSHAP explanations (at the logit) are computed for both sides of
     the pairs; the permutation test compares their distributions. Closer to
     1.0 means the decision process treats matched cross-group points alike.
     """
-    phi = _pair_attributions(params, features, eval_pairs, background, cfg.seed)
-    return mmd_permutation_pvalue(*np.split(phi, 2), cfg)[0]
+    phi = _pair_attributions(params, eval_set)
+    return mmd_permutation_pvalue(*np.split(phi, 2), eval_set.mmd)[0]

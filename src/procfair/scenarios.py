@@ -26,8 +26,8 @@ from .data import (
     resample_unfair,
     split,
 )
-from .fairness import FairnessReport, MmdConfig, _pair_attributions
-from .pairing import PairSet, select_eval_pairs
+from .fairness import EvalSet, FairnessReport, MmdConfig, _pair_attributions
+from .pairing import select_eval_pairs
 from .train import TrainConfig, evaluate, train
 from .util import (VERSION, atomic_write_csv, atomic_write_text, check_number,
                    check_number_fields, config_hash, from_fields, reject_unknown_keys,
@@ -173,7 +173,12 @@ class ResultBundle:
     @classmethod
     def from_json(cls, path: str | Path) -> "ResultBundle":
         with open(path) as fh:
-            return from_fields(cls, json.load(fh), "bundle")
+            bundle = from_fields(cls, json.load(fh), "bundle")
+        for key in ("reports", "errors"):
+            rows = getattr(bundle, key)
+            if not isinstance(rows, list) or not all(isinstance(r, dict) for r in rows):
+                raise ValueError(f"bundle {key} must be a JSON list of objects")
+        return bundle
 
     def write(self, path: str | Path) -> None:
         atomic_write_text(path, json.dumps(asdict(self), indent=2))
@@ -244,8 +249,8 @@ def in_stage(stage: str):
 def prepare_repetition(cfg: ScenarioConfig, rep: int):
     """Data pipeline for one repetition, up to (but excluding) training.
 
-    Returns (train_ds, test_ds, eval_pairs, background, mmd_cfg). Failures
-    raise StageError naming the pipeline stage.
+    Returns (train_ds, eval_set). Failures raise StageError naming the
+    pipeline stage.
     """
     rep_seed = cfg.master_seed + rep
     with in_stage("dataset"):
@@ -257,21 +262,18 @@ def prepare_repetition(cfg: ScenarioConfig, rep: int):
         train_ds, test_ds = split(data, cfg.split_ratio, seed_for(rep_seed, _TAG_SPLIT))
     with in_stage("evaluate"):
         pairs = select_eval_pairs(test_ds, cfg.n_eval_pairs)
-        background = sample_background(train_ds, cfg.background_size, seed_for(rep_seed, _TAG_BG))
-        mmd_cfg = MmdConfig(**{**cfg.mmd, "seed": seed_for(rep_seed, _TAG_MMD)})
-    return train_ds, test_ds, pairs, background, mmd_cfg
+        bg = sample_background(train_ds, cfg.background_size, seed_for(rep_seed, _TAG_BG))
+        mmd = MmdConfig(**{**cfg.mmd, "seed": seed_for(rep_seed, _TAG_MMD)})
+    return train_ds, EvalSet(test_ds, pairs, bg, mmd)
 
 
 @dataclass
 class RepetitionResult:
-    report: "FairnessReport"
+    report: FairnessReport
     params: object
     history: object
     train_ds: Dataset
-    test_ds: Dataset
-    pairs: PairSet
-    background: np.ndarray
-    mmd_cfg: MmdConfig
+    eval_set: EvalSet
 
 
 def run_repetition(cfg: ScenarioConfig, rep: int) -> RepetitionResult:
@@ -280,15 +282,13 @@ def run_repetition(cfg: ScenarioConfig, rep: int) -> RepetitionResult:
     Failures raise StageError naming the pipeline stage.
     """
     rep_seed = cfg.master_seed + rep
-    prepared = prepare_repetition(cfg, rep)
-    train_ds, test_ds, pairs, background, mmd_cfg = prepared
+    train_ds, eval_set = prepare_repetition(cfg, rep)
     with in_stage("train"):
         tcfg = TrainConfig(**{**cfg.train, "seed": seed_for(rep_seed, _TAG_TRAIN)})
         params, history = train(train_ds, tcfg)
     with in_stage("evaluate"):
-        report = evaluate(params, test_ds, pairs, mmd_cfg, background=background,
-                          train_seconds=history.seconds)
-    return RepetitionResult(report, params, history, *prepared)
+        report = evaluate(params, eval_set, train_seconds=history.seconds)
+    return RepetitionResult(report, params, history, train_ds, eval_set)
 
 
 def _aggregate(reports: list[dict]) -> dict:
@@ -405,27 +405,21 @@ def compare_scenarios(
     return rows
 
 
-def emit_sensitive_attributions(
-    params,
-    data: Dataset,
-    eval_pairs: PairSet,
-    out: str | Path,
-    background: np.ndarray,
-    seed: int,
-    cfg_hash: str | None = None,
-) -> dict:
-    """Dump per-point sensitive-attribute SHAP values for the paired rows,
-    explained against the background rows with gpf_fae's coalition seed.
+def emit_sensitive_attributions(params, eval_set: EvalSet, out: str | Path,
+                                cfg_hash: str | None = None) -> dict:
+    """Dump per-point sensitive-attribute SHAP values for the paired rows:
+    the attributions gpf_fae tests on the same eval_set.
 
     Writes (row_ref, group, shap_sensitive) for X'1 union X'2 plus summary
     rows with each group's mean; returns the summary statistics.
     """
-    if data.sensitive_col is None:
+    col, pairs = eval_set.test.sensitive_col, eval_set.pairs
+    if col is None:
         raise ValueError("dataset has no sensitive column to explain")
-    refs = np.concatenate([eval_pairs.idx1, eval_pairs.idx2])
-    group = np.repeat([1, 0], len(eval_pairs))
-    phi = _pair_attributions(params, data.features, eval_pairs, background, seed)
-    shap_s = phi[:, data.sensitive_col]
+    refs = np.concatenate([pairs.idx1, pairs.idx2])
+    group = np.repeat([1, 0], len(pairs))
+    phi = _pair_attributions(params, eval_set)
+    shap_s = phi[:, col]
     mean_s1 = float(shap_s[group == 1].mean())
     mean_s2 = float(shap_s[group == 0].mean())
     summary = {

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import util
 from .data import Dataset, SyntheticConfig, dataset_dp, generate_synthetic, pearson_select, split
-from .fairness import MmdConfig
+from .fairness import EvalSet, MmdConfig
 from .model import linear_train, override_sensitive_weight
 from .pairing import select_eval_pairs
 from .scenarios import ScenarioConfig, in_stage, run_repetition, sample_background
@@ -28,14 +28,13 @@ from .util import atomic_write_csv, seed_for
 # renumbering the later tags would move every sweep's seeds.
 _TAG_DATA, _TAG_SPLIT, _TAG_FIT = range(3)
 _TAG_BG, _TAG_MMD = 4, 5
-# sweep_ws evaluates like a scenario repetition at the scenario defaults.
-_SPLIT_RATIO = ScenarioConfig.split_ratio
-_N_EVAL_PAIRS = ScenarioConfig.n_eval_pairs
-_BACKGROUND_SIZE = ScenarioConfig.background_size
 
 
 def _grid(bounds: tuple[float, float], count: int) -> np.ndarray:
-    """np.linspace over a sweep range; ValueError unless lo < hi and count >= 2."""
+    """np.linspace over a sweep range; ValueError unless lo < hi are finite
+    and count >= 2."""
+    if not np.isfinite(bounds).all():
+        raise ValueError(f"range bounds must be finite, got {bounds[0]!r}:{bounds[1]!r}")
     if not bounds[0] < bounds[1]:
         raise ValueError("range must satisfy lo < hi")
     if count < 2:
@@ -73,19 +72,20 @@ def sweep_ws(
     ws_values = _grid(ws_range, count)
     lo, hi = ws_range
     ws_normalized = 2.0 * (ws_values - lo) / (hi - lo) - 1.0
-    mmd_cfg = MmdConfig(n_permutations=n_permutations, seed=seed_for(seed, _TAG_MMD))
+    mmd = MmdConfig(n_permutations=n_permutations, seed=seed_for(seed, _TAG_MMD))
 
     with in_stage("split"):
-        train_ds, test_ds = split(data, _SPLIT_RATIO, seed_for(seed, _TAG_SPLIT))
+        train_ds, test_ds = split(data, ScenarioConfig.split_ratio, seed_for(seed, _TAG_SPLIT))
     with in_stage("train"):
         params = linear_train(train_ds, epochs=epochs, seed=seed_for(seed, _TAG_FIT))
     with in_stage("evaluate"):
-        pairs = select_eval_pairs(test_ds, _N_EVAL_PAIRS)
-        background = sample_background(train_ds, _BACKGROUND_SIZE, seed_for(seed, _TAG_BG))
+        pairs = select_eval_pairs(test_ds, ScenarioConfig.n_eval_pairs)
+        bg = sample_background(train_ds, ScenarioConfig.background_size, seed_for(seed, _TAG_BG))
+        eval_set = EvalSet(test_ds, pairs, bg, mmd)
         rows = []
         for ws, ws_norm in zip(ws_values, ws_normalized):
             model = override_sensitive_weight(params, float(ws))
-            r = evaluate(model, test_ds, pairs, mmd_cfg, background)
+            r = evaluate(model, eval_set)
             rows.append({"p": p, "ws": float(ws), "ws_normalized": float(ws_norm),
                          "dp": r.dp, "gpf_fae": r.gpf_fae, "acc": r.accuracy})
     return rows

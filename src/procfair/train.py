@@ -18,8 +18,8 @@ from scipy.special import expit
 
 from .data import Dataset
 from .fairness import (
+    EvalSet,
     FairnessReport,
-    MmdConfig,
     demographic_parity,
     disparate_impact,
     equal_opportunity,
@@ -28,7 +28,7 @@ from .fairness import (
     gpf_loss,
 )
 from .model import MlpParams, _gap_pairs, _loss_grads, adam_init, adam_step, mlp_init
-from .pairing import PairSet, build_pairs
+from .pairing import build_pairs
 from .util import atomic_write_csv, check_number_fields
 
 MODES = ("bce_only", "procedural", "dp_regularized")
@@ -110,21 +110,11 @@ def train(data: Dataset, cfg: TrainConfig) -> tuple[MlpParams, TrainHistory]:
     return params, TrainHistory(*losses, seconds=time.perf_counter() - t0)
 
 
-def evaluate(
-    params,
-    test: Dataset,
-    eval_pairs: PairSet,
-    mmd_cfg: MmdConfig,
-    background: np.ndarray,
-    train_seconds: float = 0.0,
-) -> FairnessReport:
-    """Accuracy, distributive metrics at the 0.5 probability threshold, and
-    both procedural metrics over the evaluation pairs.
-
-    background holds the rows KernelSHAP marginalizes over, a sample of
-    the training split.
-    """
+def evaluate(params, eval_set: EvalSet, train_seconds: float = 0.0) -> FairnessReport:
+    """Accuracy and distributive metrics at the 0.5 probability threshold
+    on the test split, and both procedural metrics over its pairs."""
     t0 = time.perf_counter()
+    test, pairs = eval_set.test, eval_set.pairs
     probs = expit(params.logits(test.features))
     preds = (probs >= _THRESHOLD).astype(np.int64)
 
@@ -134,10 +124,10 @@ def evaluate(
     eop = equal_opportunity(preds, test.labels, test.group)
     eod = equalized_odds(preds, test.labels, test.group)
 
-    e1 = params.prob_grads(test.features[eval_pairs.idx1])
-    e2 = params.prob_grads(test.features[eval_pairs.idx2])
+    e1 = params.prob_grads(test.features[pairs.idx1])
+    e2 = params.prob_grads(test.features[pairs.idx2])
     loss = gpf_loss(e1, e2)
-    pval = gpf_fae(params, test.features, eval_pairs, mmd_cfg, background)
+    pval = gpf_fae(params, eval_set)
 
     return FairnessReport(
         accuracy=accuracy,

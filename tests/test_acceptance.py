@@ -161,9 +161,7 @@ def test_criterion_07_outcome_regularizer_contrast(tmp_path):
     cfg = ScenarioConfig.from_dict(load_preset("synth065_dp_regularized"))
     result = run_repetition(cfg, 0)
     summary = emit_sensitive_attributions(
-        result.params, result.test_ds, result.pairs,
-        tmp_path / "dpreg_attr.csv", background=result.background, seed=result.mmd_cfg.seed,
-    )
+        result.params, result.eval_set, tmp_path / "dpreg_attr.csv")
     flip = summary["mean_s2"] > summary["mean_s1"]
     ok = dp <= 0.10 and gpf <= 0.15 and flip
     _report(7, "outcome-optimizer-flips-preference", ok,

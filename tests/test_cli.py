@@ -86,6 +86,10 @@ def test_negative_seed_or_rep_exit_1(tmp_path, capsys, argv):
     (["sweep", "grid", "--pearson", "nan"], "argument --pearson: threshold must lie in (0, 1]"),
     (["sweep", "ws", "--ws", "1:-1:3"], "argument --ws: range must satisfy lo < hi"),
     (["sweep", "grid", "--p", "0.5:0.6:1"], "argument --p: range count must be >= 2"),
+    (["sweep", "ws", "--ws", "0:inf:3"], "argument --ws: range bounds must be finite"),
+    (["sweep", "grid", "--ws", "0:inf:3"], "argument --ws: range bounds must be finite"),
+    (["sweep", "ws", "--ws", "nan:1:3"], "argument --ws: range bounds must be finite"),
+    (["sweep", "p", "--p", "nan:0.6:2"], "argument --p: range bounds must be finite"),
     (["sweep", "ws", "--p", "1.5"], "argument --p: p must lie in [0, 1]"),
     (["sweep", "p", "--p", "0.9:1.1:2"], "argument --p: p must lie in [0, 1], got 1.1"),
     (["sweep", "grid", "--p", "0.9:1.5:2"], "argument --p: p must lie in [0, 1], got 1.5"),
@@ -101,6 +105,41 @@ def test_out_of_range_flag_exit_1_naming_it(tmp_path, capsys, argv, message):
     assert main([*argv, "--out", str(out)]) == 1
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("the work ran before --out was checked")
+
+
+@pytest.mark.parametrize("argv, existing", [
+    pytest.param(["generate", "--p", "0.5"], "dir", id="generate"),
+    pytest.param(["sweep", "ws"], "dir", id="sweep ws"),
+    pytest.param(["sweep", "p"], "dir", id="sweep p"),
+    pytest.param(["sweep", "grid"], "dir", id="sweep grid"),
+    pytest.param(["explain", "dump", "--preset", "synth065_baseline"], "dir", id="explain dump"),
+    pytest.param(["scenario", "compare", "a.json", "b.json"], "dir", id="scenario compare"),
+    pytest.param(["train", "--preset", "synth065_baseline"], "file", id="train"),
+    pytest.param(["evaluate", "--preset", "synth065_baseline", "--model", "m.json"], "file",
+                 id="evaluate"),
+    pytest.param(["scenario", "run", "--preset", "synth065_baseline"], "file",
+                 id="scenario run"),
+])
+def test_out_of_the_wrong_kind_exit_1_before_the_work(tmp_path, monkeypatch, capsys, argv,
+                                                      existing):
+    # a file output given an existing directory, or a directory output given
+    # an existing file, is named before any data is made or model fitted
+    for name in ("generate_synthetic", "_selected_synthetic", "sweep_ws", "sweep_p_ws",
+                 "p_sweep", "run_repetition", "prepare_repetition", "run_scenario"):
+        monkeypatch.setattr(cli, name, _no_work)
+    out = tmp_path / "out"
+    if existing == "dir":
+        out.mkdir()
+    else:
+        out.write_text("kept")
+    assert main([*argv, "--out", str(out)]) == 1
+    kind = "a directory" if existing == "dir" else "not a directory"
+    assert f"argument --out: {out} exists and is {kind}" in capsys.readouterr().err
+    assert out.is_dir() if existing == "dir" else out.read_text() == "kept"
 
 
 def test_unknown_subcommand_and_flag_exit_1(capsys):
@@ -276,7 +315,9 @@ def test_scenario_compare_malformed_bundle_exit_1(tmp_path, capsys):
     for named, bad in (("missing bundle key(s): aggregate",
                         {k: v for k, v in good.items() if k != "aggregate"}),
                        ("bundle must be a JSON object, got list", [good]),
-                       ("unknown bundle key(s): extra", {**good, "extra": 1})):
+                       ("unknown bundle key(s): extra", {**good, "extra": 1}),
+                       ("bundle reports must be a JSON list of objects", {**good, "reports": 5}),
+                       ("bundle errors must be a JSON list of objects", {**good, "errors": [1]})):
         bad_path.write_text(json.dumps(bad))
         assert main(["scenario", "compare", str(good_path), str(bad_path)]) == 1
         assert named in capsys.readouterr().err
@@ -454,7 +495,7 @@ def test_explain_dump_writes_the_attributions_gpf_fae_tested(tmp_path, monkeypat
 
     monkeypatch.setattr(fairness, "mmd_permutation_pvalue", spy)
     assert main(["explain", "dump", "--config", "cfg.json", "--out", "attr.csv"]) == 0
-    test_ds = prepare_repetition(ScenarioConfig.from_json("cfg.json"), 0)[1]
+    test_ds = prepare_repetition(ScenarioConfig.from_json("cfg.json"), 0)[1].test
     assert test_ds.n_features == 14 > _EXHAUSTIVE_MAX_D
     rows = Path("attr.csv").read_text().strip().splitlines()[2:-2]
     dumped = [float(line.split(",")[2]) for line in rows]

@@ -33,6 +33,9 @@ ADULT_CSV = Path(__file__).resolve().parents[1] / "perfbench" / "adult_csv.py"
 GOLDEN_REPORT_SHA256 = "1cbd9f0e7d3750a6f6b13cb2406205d5fc9f75fdb35be0453c0eac644fffc84e"
 GOLDEN_MODEL_SHA256 = "13a56f36393afa03ed2c5e78c0ebefed75ca81a03f0ce9a3a085c3fe313cc5e0"
 GOLDEN_HISTORY_SHA256 = "0993be72eb8fe55e21f68d566ee734b03adc09adef915a71a6871d064c729bfb"
+# sha256 of `explain dump` of that model: the sensitive column's sampled
+# KernelSHAP phi, the only pinned output that carries phi's bits.
+GOLDEN_DUMP_SHA256 = "7bf974c3b7792e3711c8ea02b7dbeb9c058616b14fb0ccfc64c64615ecd70de5"
 
 
 def _write_adult_like(csv_path: Path, schema_path: Path, seed: int, n_rows: int) -> None:
@@ -82,6 +85,10 @@ def test_csv_train_outputs_pinned(tmp_path, monkeypatch):
         "model": GOLDEN_MODEL_SHA256,
         "history": GOLDEN_HISTORY_SHA256,
     }
+
+    assert main(["explain", "dump", "--config", "cfg.json", "--model", "out/model.json",
+                 "--out", "dump.csv"]) == 0
+    assert _sha(Path("dump.csv").read_bytes()) == GOLDEN_DUMP_SHA256
 
 
 def test_csv_train_outputs_independent_of_blas_threads(tmp_path, monkeypatch):

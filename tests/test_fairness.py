@@ -6,8 +6,10 @@ from hypothesis.extra.numpy import arrays
 
 from oracles import argsort_splits, mmd_kernel_pdist, per_call_pvalue, random_mlp
 from procfair import fairness, util
+from procfair.data import Dataset
 from procfair.explain import kernel_shap_batch
 from procfair.fairness import (
+    EvalSet,
     FairnessReport,
     MmdConfig,
     _permutation_splits,
@@ -346,7 +348,9 @@ def test_gpf_fae_tests_the_attributions_of_one_call_per_side(monkeypatch, model,
 
     monkeypatch.setattr(fairness, "mmd_permutation_pvalue", spy)
     monkeypatch.setattr(fairness, "kernel_shap_batch", counted)
-    gpf_fae(params, features, pairs, cfg, background)
+    test = Dataset(features, labels=np.zeros(3 * n), group=np.zeros(3 * n),
+                   feature_names=tuple(f"x{i}" for i in range(d)))
+    gpf_fae(params, EvalSet(test, pairs, background, cfg))
     assert calls == [2 * n] and len(tested) == 1
     for got, idx in zip(tested[0], (pairs.idx1, pairs.idx2)):
         want, _ = kernel_shap_batch(params.logits, features[idx], background, seed=cfg.seed)

@@ -253,10 +253,10 @@ def test_non_finite_csv_cell_fails_at_dataset_stage(tmp_path):
 
 def test_prepare_repetition_matches_run(tmp_path):
     cfg = small_scenario()
-    train_ds, test_ds, pairs, background, mmd_cfg = prepare_repetition(cfg, 0)
-    assert train_ds.n_rows == 800 and test_ds.n_rows == 200
-    assert len(pairs) == 30
-    assert background.shape == (40, 4)
+    train_ds, eval_set = prepare_repetition(cfg, 0)
+    assert train_ds.n_rows == 800 and eval_set.test.n_rows == 200
+    assert len(eval_set.pairs) == 30
+    assert eval_set.background.shape == (40, 4)
 
 
 def test_ranksum_exact_matches_enumeration():
@@ -323,11 +323,9 @@ def test_compare_scenarios():
 def test_emit_sensitive_attributions(tmp_path):
     cfg = small_scenario()
     result = run_repetition(cfg, 0)
-    pairs = result.pairs
+    pairs = result.eval_set.pairs
     out = tmp_path / "attrs.csv"
-    summary = emit_sensitive_attributions(result.params, result.test_ds, pairs, out,
-                                          background=result.background,
-                                          seed=result.mmd_cfg.seed, cfg_hash="h")
+    summary = emit_sensitive_attributions(result.params, result.eval_set, out, cfg_hash="h")
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "# config_hash=h"
     assert lines[1] == "row_ref,group,shap_sensitive"
@@ -351,7 +349,7 @@ def test_scenario_steps_run_in_order(tmp_path):
                {"op": "attach_fake_sensitive"}],
     )
     result = run_repetition(cfg, 0)
-    ds = result.test_ds
+    ds = result.eval_set.test
     # fake tag became the sensitive attribute and sits in the features
     assert ds.feature_names[-1] == "fake_sensitive"
     assert ds.sensitive_col == ds.n_features - 1
@@ -381,12 +379,17 @@ def test_presets_are_valid():
         load_preset("nope")
 
 
-# sha256 of metric_payload() for one repetition of each preset at 2,000 rows
-# and 30 epochs. They pin the DP-regularized mode and the fake-sensitive
-# step, which no other byte gate crosses.
+# sha256 of metric_payload() for one repetition of each synthetic preset at
+# 2,000 rows and 30 epochs. They pin every training mode on the synthetic
+# path, the inverted regularizer and the fake-sensitive step.
 GOLDEN_PAYLOAD_SHA256 = {
-    "synth065_dp_regularized": "6ddb468c31b47458b876d9a3ff69fb4b1104c6e173db0371838eda4b32fe3139",
     "synth05_fsa_inverse": "0aa17957778b012c97585caf606dce501adb0466eb6f90c4523780280edef30e",
+    "synth05_inverse": "b1d3150c012022dca069509532fd256201b67aa70b1f4c3e4fb2ac9a7691c20b",
+    "synth05_procedural": "7e7894df1b2ff59f359229cb04481b8ff28b7f76eb4f52e197822c4082d6c3d8",
+    "synth065_baseline": "12172e028b7441eafb0b92a6017bd69920dff57556b80bb0da5234e289dcdf96",
+    "synth065_dp_regularized": "6ddb468c31b47458b876d9a3ff69fb4b1104c6e173db0371838eda4b32fe3139",
+    "synth065_inverse": "3886333288afbf9af15b233744274c7592540801300619f2a5bf7e690f38cdb7",
+    "synth065_procedural": "698db177b2730df454250eaa011df01e59a6fd5b3a44ee376526c731ea795ab6",
 }
 
 

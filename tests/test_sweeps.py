@@ -64,12 +64,22 @@ def test_sweep_ws_cell_reproducibility():
     assert a == b
 
 
-def test_sweep_ws_validation(ws_rows):
+def test_sweep_ws_validation(ws_rows, monkeypatch):
+    # every bad range fails before the split and the fit; an infinite bound
+    # would otherwise grid inf and nan weights and fail only at evaluate
+    def no_stage(*args, **kwargs):
+        raise AssertionError("a stage ran before the range was checked")
+
+    monkeypatch.setattr(sweeps, "split", no_stage)
+    monkeypatch.setattr(sweeps, "linear_train", no_stage)
     data = generate_synthetic(SyntheticConfig(p=0.6, n_points=200, seed=1))
     with pytest.raises(ValueError, match="lo < hi"):
         sweep_ws(data, (2.0, -2.0), 5, seed=0, epochs=5, n_permutations=100)
     with pytest.raises(ValueError, match="count"):
         sweep_ws(data, (-2.0, 2.0), 1, seed=0, epochs=5, n_permutations=100)
+    for bounds in ((0.0, np.inf), (-np.inf, 0.0), (np.nan, 1.0)):
+        with pytest.raises(ValueError, match="range bounds must be finite"):
+            sweep_ws(data, bounds, 3, seed=0, epochs=5, n_permutations=100)
 
 
 def test_sweep_p_ws_grid_and_planes():

@@ -10,7 +10,7 @@ from oracles import (
     random_mlp,
 )
 from procfair.data import Dataset, SyntheticConfig, generate_synthetic, split
-from procfair.fairness import MmdConfig
+from procfair.fairness import EvalSet, MmdConfig
 from procfair.model import (
     _BLOCK_ROWS,
     MlpParams,
@@ -233,7 +233,7 @@ def test_evaluate_perfect_and_constant_classifiers(small_splits):
 
     # a constant-0 classifier: all-zero first layer, very negative bias
     const0 = MlpParams(W1=np.zeros((4, 4)), b1=np.zeros(4), w2=np.zeros(4), b2=-50.0)
-    rep = evaluate(const0, test_ds, pairs, cfg, background=bg)
+    rep = evaluate(const0, EvalSet(test_ds, pairs, bg, cfg))
     assert rep.dp == 0.0
     assert rep.di is None and rep.di_reason is not None
     assert rep.gpf_fae == 1.0  # constant model explains identically everywhere
@@ -252,7 +252,7 @@ def test_evaluate_perfect_and_constant_classifiers(small_splits):
     big = MlpParams(W1=np.array([[60.0, 0.0], [-60.0, 0.0]]), b1=np.zeros(2),
                     w2=np.array([1.0, -1.0]), b2=0.0)
     p2 = select_eval_pairs(ds, 20)
-    rep2 = evaluate(big, ds, p2, cfg, background=ds.features[:40])
+    rep2 = evaluate(big, EvalSet(ds, p2, ds.features[:40], cfg))
     assert rep2.accuracy == 1.0
     assert rep2.eop == 0.0
 

@@ -13,7 +13,7 @@ import pytest
 import procfair
 from procfair.cli import main
 from procfair.data import SyntheticConfig, export_schema, generate_synthetic, write_csv
-from procfair.fairness import FairnessReport
+from procfair.fairness import EvalSet, FairnessReport, MmdConfig
 from procfair.model import LinearParams, mlp_init, save_params
 from procfair.pairing import select_eval_pairs
 from procfair.scenarios import (ResultBundle, ScenarioConfig, emit_sensitive_attributions,
@@ -106,8 +106,9 @@ def _emit_attributions(tmp):
     data = _data()
     pairs = select_eval_pairs(data, 5)
     params = mlp_init(data.n_features, 3, seed=0)
+    eval_set = EvalSet(data, pairs, data.features[:10], MmdConfig(seed=0))
     return [tmp / "a.csv"], lambda: emit_sensitive_attributions(
-        params, data, pairs, tmp / "a.csv", background=data.features[:10], seed=0, cfg_hash="h")
+        params, eval_set, tmp / "a.csv", cfg_hash="h")
 
 
 def _bundle_write(tmp):
