@@ -38,11 +38,12 @@ from .util import atomic_write_json, config_hash
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; the CLI contract wants 1. The
-    # negative-number matcher is widened so range values like -5:5:50 pass
+    # negative-number matcher is widened so range values like -5:5:50 (and
+    # -inf:0:3 or -1:nan:3, which the range check then rejects by name) pass
     # as arguments instead of being mistaken for flags.
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\d+(\.\d+)?(:-?[\d.]+){0,2}$")
+        self._negative_number_matcher = re.compile(r"^-(\d+(\.\d+)?|inf)(:-?([\d.]+|inf|nan)){0,2}$")
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -115,11 +116,15 @@ def _cmd_generate(args) -> int:
 def _check_out(out: str, directory: bool = False) -> Path:
     """--out as a Path, checked before any work: it may not name an existing
     file where a directory is written, nor an existing directory where a
-    file is written."""
+    file is written, nor lie under an existing path that is not a
+    directory."""
     path = Path(out)
     if path.exists() and path.is_dir() != directory:
         raise ValueError(f"argument --out: {out} exists and is "
                          f"{'not a directory' if directory else 'a directory'}")
+    blocked = next((p for p in path.parents if p.exists() and not p.is_dir()), None)
+    if blocked is not None:
+        raise ValueError(f"argument --out: {blocked} exists and is not a directory")
     return path
 
 

@@ -9,13 +9,14 @@ minimal Adam.
 
 The MLP losses form one engine, _loss_grads, which walks the rows in
 blocks of _BLOCK_ROWS in two passes. Pass 1 (_forward) writes each row's
-probability and, for the attribution gap, the input gradient G of its
-logit. Between the passes, one function per loss term (BCE, attribution
-gap, DP surrogate) returns its value and its gradient with respect to the
-logits (and to G) over all rows. Pass 2 (_backprop) recomputes each
-block's ReLU gate and adds one h x (d + 1) product per block, in block
-order, that yields every parameter gradient. So no n x h array is held
-whole, and no bit depends on the BLAS thread count. Training,
+probability and ReLU gates and, for the attribution gap, the input
+gradient G of its logit, feature-major. Between the passes, one function
+per loss term (BCE, attribution gap, DP surrogate) returns its value and
+its gradient with respect to the logits (and to G) over all rows. Pass 2
+(_backprop) reads pass 1's gates and adds one h x (d + 1) product per
+block, in block order, that yields every parameter gradient. So the only
+n x h array held whole is the bool gates, and no bit depends on the BLAS
+thread count. Training,
 bce_loss_grads, gpf_loss_grads, train.dp_proxy_grads and
 MlpParams.prob_grads all run this engine, so the gradient oracles check
 the code that trains.
@@ -95,7 +96,7 @@ class MlpParams:
         reliance is locally linear.
         """
         c = _forward(self, X, input_grads=True)
-        return (c.p * (1.0 - c.p))[:, None] * c.G
+        return (c.G * (c.p * (1.0 - c.p))).T.copy()
 
 
 @dataclass(frozen=True)
@@ -171,12 +172,6 @@ def _pre_activation(params: MlpParams, X: np.ndarray) -> np.ndarray:
     return pre
 
 
-def _gate(pre: np.ndarray) -> np.ndarray:
-    """The ReLU gate 1[pre-activation > 0] as 0.0/1.0, written over pre: a
-    unit sitting exactly at zero contributes nothing."""
-    return np.greater(pre, 0.0, out=pre)
-
-
 def _blocks(n: int):
     return (slice(lo, lo + _BLOCK_ROWS) for lo in range(0, n, _BLOCK_ROWS))
 
@@ -185,23 +180,27 @@ class _Forward(NamedTuple):
     """Pass 1 of the loss engine over every row."""
 
     p: np.ndarray  # sigmoid(logit)
-    G: np.ndarray | None  # d(logit)/d(input) through the gate, when asked for
+    gates: np.ndarray  # (n, h) bools, the ReLU gate 1[pre-activation > 0]
+    G: np.ndarray | None  # (d, n) d(logit)/d(input) through the gates, when asked for
 
 
 def _forward(params: MlpParams, X: np.ndarray, input_grads: bool = False) -> _Forward:
-    """Each row's probability and, if input_grads, the input gradient of
-    its logit, (gate * w2) @ W1."""
+    """Each row's probability and ReLU gates and, if input_grads, the input
+    gradient of its logit, (gate * w2) @ W1, stored transposed. A unit
+    sitting exactly at zero is gated off: it contributes nothing."""
     z = np.empty(X.shape[0])
-    G = np.empty(X.shape) if input_grads else None
+    gates = np.empty((X.shape[0], params.hidden_size), dtype=bool)
+    G = np.empty(X.shape[::-1]) if input_grads else None
     for rows in _blocks(X.shape[0]):
         pre = _pre_activation(params, X[rows])
-        z[rows] = np.maximum(pre, 0.0) @ params.w2
+        gate = np.greater(pre, 0.0, out=gates[rows])
+        z[rows] = np.maximum(pre, 0.0, out=pre) @ params.w2
         if input_grads:
-            mw = _gate(pre)
-            mw *= params.w2  # d(logit)/d(pre-activation)
-            G[rows] = mw @ params.W1
+            np.copyto(pre, gate)  # 0.0 or 1.0; a float copy and multiply beat a bool ufunc
+            pre *= params.w2  # d(logit)/d(pre-activation)
+            G[:, rows] = (pre @ params.W1).T
     z += params.b2
-    return _Forward(expit(z), G)
+    return _Forward(expit(z), gates, G)
 
 
 def _bce_term(p: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
@@ -254,7 +253,45 @@ def _pair_sign_scatter(S: np.ndarray, pairs: _GapPairs) -> np.ndarray:
     equals the per-column bincount scatter (tests/oracles.py) bit for bit.
     The two sums stay two products: one +-1 matrix would interleave them.
     """
-    return (pairs.A1 @ S) - (pairs.A2 @ S)
+    R = pairs.A1 @ S
+    R -= pairs.A2 @ S
+    return R
+
+
+def _pairwise_rows(A: np.ndarray) -> np.ndarray:
+    """The sums over the rows of A, added in the order of numpy's pairwise
+    summation of a contiguous run of A.shape[0] values: fewer than 8 in
+    sequence; up to 128 in 8 strided accumulators that meet in a tree, the
+    rest in sequence; more split in two at a multiple of 8. Works in place:
+    the result is a row of A, and A's other rows are overwritten."""
+    n = A.shape[0]
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        acc = _pairwise_rows(A[:half])
+        acc += _pairwise_rows(A[half:])
+        return acc
+    if n < 8:
+        head, rest = A[:1], A[1:]
+    else:
+        head, rest = A[:8], A[n - n % 8 :]
+        for lo in range(8, n - n % 8, 8):
+            head += A[lo : lo + 8]
+        for step in (1, 2, 4):  # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+            head[:: 2 * step] += head[step :: 2 * step]
+    acc = head[0]
+    for row in rest:
+        acc += row
+    return acc
+
+
+def _feature_sums(A: np.ndarray) -> np.ndarray:
+    """A.T.sum(axis=1) of a feature-major (d, m) array, bit for bit, and
+    A is overwritten: numpy adds the pairwise sum of each contiguous row of
+    d values to 0.0 (which turns a sum of -0.0 into 0.0). Each add here runs
+    over all m values."""
+    acc = _pairwise_rows(A)
+    acc += 0.0
+    return acc
 
 
 def _gap_term(c: _Forward, pairs: _GapPairs) -> tuple[float, np.ndarray, np.ndarray]:
@@ -264,37 +301,57 @@ def _gap_term(c: _Forward, pairs: _GapPairs) -> tuple[float, np.ndarray, np.ndar
     fixed while differentiating (their derivative is zero almost everywhere)
     and the l1 subgradient uses sign(0) = 0. Returns the loss, its gradient
     through the sigmoid slope as d(loss)/d(logit) (sigma'' = s(1-2p), which
-    is where the bias gradients come from), and its gradient with respect
-    to G.
+    is where the bias gradients come from), and its (n, d) gradient with
+    respect to G.
+
+    E and the pair differences U are feature-major, (d, n) and (d, k), so
+    every elementwise pass and every feature sum runs over rows or pairs;
+    the sums equal numpy's (k, d).sum(axis=1) bit for bit. Each temporary
+    is dropped, or its buffer reused, once it is dead: glibc hands a free
+    heap top above its trim threshold back to the OS, and an epoch whose
+    temporaries pile up past that threshold faults all their pages in
+    again (some 3,000 minor faults an epoch on a 13,710 x 14 split).
     """
     s = c.p * (1.0 - c.p)
-    E = s[:, None] * c.G
-    U = E[pairs.idx1] - E[pairs.idx2]
-    loss = float(np.abs(U).sum(axis=1).mean())
-    R = _pair_sign_scatter(np.sign(U) / pairs.idx1.shape[0], pairs)
-    dz = (R * c.G).sum(axis=1) * s * (1.0 - 2.0 * c.p)
-    return loss, dz, s[:, None] * R
+    E = c.G * s
+    U = np.take(E, pairs.idx1, axis=1)
+    V = np.take(E, pairs.idx2, axis=1)
+    del E
+    U -= V
+    loss = float(_feature_sums(np.abs(U, out=V)).mean())
+    S = np.sign(U.T, out=V.reshape(U.shape[::-1]))  # (k, d), C order for the CSR products
+    del U, V
+    S /= pairs.idx1.shape[0]
+    R = _pair_sign_scatter(S, pairs)
+    del S
+    dz = _feature_sums(R.T * c.G) * s * (1.0 - 2.0 * c.p)
+    R *= s[:, None]
+    return loss, dz, R
 
 
 def _backprop(
-    params: MlpParams, X: np.ndarray, dz: np.ndarray, dG: np.ndarray | float
+    params: MlpParams, X: np.ndarray, gates: np.ndarray, dz: np.ndarray, dG: np.ndarray | float
 ) -> dict[str, np.ndarray | float]:
     """Pass 2 of the loss engine: the parameter gradient of a loss given
-    its gradient with respect to each row's logit (dz) and, gates held
-    fixed, to each row's logit input gradient G (dG, 0.0 when no term
-    reads G).
+    pass 1's gates, its gradient with respect to each row's logit (dz) and,
+    gates held fixed, to each row's logit input gradient G (dG, (n, d), or
+    0.0 when no term reads G).
 
     With T = [dz * X + dG | dz] and P = gate.T @ T, an h x (d + 1) array,
     d/dW1 = w2 * P[:, :d] and d/db1 = w2 * P[:, d]; since a unit's
     activation is gate * ([x | 1] . [W1 | b1]), d/dw2 is
-    (P * [W1 | b1]).sum(axis=1). Each block's gate is computed again and its
-    part of P added in block order, so the bits do not depend on how BLAS
-    splits a product over threads.
+    (P * [W1 | b1]).sum(axis=1). Each block's part of P is added in block
+    order, so the bits do not depend on how BLAS splits a product over
+    threads.
     """
-    T = np.column_stack([dz[:, None] * X + dG, dz])
-    P = np.zeros((params.hidden_size, T.shape[1]))
+    d = X.shape[1]
+    T = np.empty((X.shape[0], d + 1))
+    np.multiply(dz[:, None], X, out=T[:, :d])
+    T[:, :d] += dG
+    T[:, d] = dz
+    P = np.zeros((params.hidden_size, d + 1))
     for rows in _blocks(X.shape[0]):
-        P += _gate(_pre_activation(params, X[rows])).T @ T[rows]
+        P += gates[rows].astype(np.float64).T @ T[rows]
     W1b1 = np.column_stack([params.W1, params.b1])
     return {"W1": params.w2[:, None] * P[:, :-1], "b1": params.w2 * P[:, -1],
             "w2": (P * W1b1).sum(axis=1), "b2": float(dz.sum())}
@@ -319,8 +376,8 @@ def _loss_grads(
     if pairs is not None:
         gpf, dz_gap, dG = _gap_term(c, pairs)
         dz = dz + alpha * dz_gap
-        dG = alpha * dG
-    return (bce, gpf, dp), _backprop(params, X, dz, dG)
+        dG *= alpha
+    return (bce, gpf, dp), _backprop(params, X, c.gates, dz, dG)
 
 
 def bce_loss_grads(

@@ -178,6 +178,9 @@ class ResultBundle:
             rows = getattr(bundle, key)
             if not isinstance(rows, list) or not all(isinstance(r, dict) for r in rows):
                 raise ValueError(f"bundle {key} must be a JSON list of objects")
+        if not (isinstance(bundle.scenario, dict)
+                and isinstance(bundle.scenario.get("scenario_id"), str)):
+            raise ValueError("bundle scenario must be a JSON object with a string scenario_id")
         return bundle
 
     def write(self, path: str | Path) -> None:

@@ -89,6 +89,9 @@ def test_negative_seed_or_rep_exit_1(tmp_path, capsys, argv):
     (["sweep", "ws", "--ws", "0:inf:3"], "argument --ws: range bounds must be finite"),
     (["sweep", "grid", "--ws", "0:inf:3"], "argument --ws: range bounds must be finite"),
     (["sweep", "ws", "--ws", "nan:1:3"], "argument --ws: range bounds must be finite"),
+    (["sweep", "ws", "--ws", "-inf:0:3"], "argument --ws: range bounds must be finite"),
+    (["sweep", "grid", "--ws", "-1:inf:3"], "argument --ws: range bounds must be finite"),
+    (["sweep", "p", "--p", "-0.5:nan:2"], "argument --p: range bounds must be finite"),
     (["sweep", "p", "--p", "nan:0.6:2"], "argument --p: range bounds must be finite"),
     (["sweep", "ws", "--p", "1.5"], "argument --p: p must lie in [0, 1]"),
     (["sweep", "p", "--p", "0.9:1.1:2"], "argument --p: p must lie in [0, 1], got 1.1"),
@@ -123,23 +126,31 @@ def _no_work(*args, **kwargs):
                  id="evaluate"),
     pytest.param(["scenario", "run", "--preset", "synth065_baseline"], "file",
                  id="scenario run"),
+    pytest.param(["sweep", "ws"], "under a file", id="sweep ws under a file"),
+    pytest.param(["scenario", "compare", "a.json", "b.json"], "under a file",
+                 id="scenario compare under a file"),
+    pytest.param(["train", "--preset", "synth065_baseline"], "under a file",
+                 id="train under a file"),
 ])
 def test_out_of_the_wrong_kind_exit_1_before_the_work(tmp_path, monkeypatch, capsys, argv,
                                                       existing):
-    # a file output given an existing directory, or a directory output given
-    # an existing file, is named before any data is made or model fitted
+    # a file output given an existing directory, a directory output given an
+    # existing file, and any output under an existing file are named before
+    # any data is made or model fitted
     for name in ("generate_synthetic", "_selected_synthetic", "sweep_ws", "sweep_p_ws",
                  "p_sweep", "run_repetition", "prepare_repetition", "run_scenario"):
         monkeypatch.setattr(cli, name, _no_work)
-    out = tmp_path / "out"
+    out = blocker = tmp_path / "out"
     if existing == "dir":
         out.mkdir()
     else:
         out.write_text("kept")
+    if existing == "under a file":
+        out = blocker / "sub" / "x.csv"
     assert main([*argv, "--out", str(out)]) == 1
     kind = "a directory" if existing == "dir" else "not a directory"
-    assert f"argument --out: {out} exists and is {kind}" in capsys.readouterr().err
-    assert out.is_dir() if existing == "dir" else out.read_text() == "kept"
+    assert f"argument --out: {blocker} exists and is {kind}" in capsys.readouterr().err
+    assert out.is_dir() if existing == "dir" else blocker.read_text() == "kept"
 
 
 def test_unknown_subcommand_and_flag_exit_1(capsys):
@@ -317,7 +328,13 @@ def test_scenario_compare_malformed_bundle_exit_1(tmp_path, capsys):
                        ("bundle must be a JSON object, got list", [good]),
                        ("unknown bundle key(s): extra", {**good, "extra": 1}),
                        ("bundle reports must be a JSON list of objects", {**good, "reports": 5}),
-                       ("bundle errors must be a JSON list of objects", {**good, "errors": [1]})):
+                       ("bundle errors must be a JSON list of objects", {**good, "errors": [1]}),
+                       ("bundle scenario must be a JSON object with a string scenario_id",
+                        {**good, "scenario": 5}),
+                       ("bundle scenario must be a JSON object with a string scenario_id",
+                        {**good, "scenario": {"scenario_id": 7}}),
+                       ("bundle scenario must be a JSON object with a string scenario_id",
+                        {**good, "scenario": {}})):
         bad_path.write_text(json.dumps(bad))
         assert main(["scenario", "compare", str(good_path), str(bad_path)]) == 1
         assert named in capsys.readouterr().err

@@ -19,6 +19,7 @@ from procfair.data import Dataset, SyntheticConfig, generate_synthetic, pearson_
 from procfair.model import (
     LinearParams,
     MlpParams,
+    _feature_sums,
     _forward,
     _gap_pairs,
     _pair_sign_scatter,
@@ -28,6 +29,7 @@ from procfair.model import (
     gpf_loss_grads,
     linear_train,
     load_params,
+    _pre_activation,
     mlp_init,
     mlp_logits,
     override_sensitive_weight,
@@ -84,9 +86,54 @@ def test_mlp_logits_match_fresh_temporaries_oracle(n, h):
     assert params.logits(X).tobytes() == mlp_logits_fresh(params, X).tobytes()
 
 
+@pytest.mark.gate
+@pytest.mark.parametrize("d", range(1, 21))
+def test_feature_sums_equal_numpy_row_sums_bit_for_bit(d):
+    # The gap term sums feature-major (d, m) arrays with one add per feature;
+    # the bits must be those of numpy's (m, d).sum(axis=1), signed zeros
+    # (a row of -0.0 sums to 0.0) and subnormals included.
+    rng = np.random.default_rng(d)
+    M = rng.normal(size=(4000, d)) * rng.choice([1.0, 1e12, 1e-310, 5e-324], size=(4000, d))
+    M[rng.random(M.shape) < 0.25] = 0.0
+    M[rng.random(M.shape) < 0.25] = -0.0
+    M[:40] = -0.0
+    M[40:80] = rng.choice([0.0, -0.0], size=(40, d))
+    want = M.sum(axis=1)
+    assert _feature_sums(np.ascontiguousarray(M.T)).tobytes() == want.tobytes()
+
+
+@pytest.mark.gate
+def test_feature_sums_follow_pairwise_order_past_one_block():
+    # Beyond 128 values numpy splits its pairwise sum; the same helper serves
+    # every d.
+    rng = np.random.default_rng(0)
+    for d in (127, 128, 129, 136, 257, 1000):
+        M = rng.normal(size=(50, d)) * 10.0 ** rng.integers(-8, 8, size=(50, d))
+        assert _feature_sums(np.ascontiguousarray(M.T)).tobytes() == M.sum(axis=1).tobytes()
+
+
+@pytest.mark.gate
+def test_forward_gates_equal_a_fresh_comparison():
+    # Pass 2 reads pass 1's stored gates in place of recomputing them: they
+    # must equal 1[pre-activation > 0] over every row block, a unit sitting
+    # exactly at zero gated off.
+    rng = np.random.default_rng(4)
+    params = random_mlp(rng, 6, 33)
+    params = MlpParams(W1=params.W1, b1=np.where(np.arange(33) % 3 == 0, 0.0, params.b1),
+                       w2=params.w2, b2=params.b2)
+    X = rng.normal(size=(1300, 6))
+    X[::7] = 0.0  # pre-activation exactly b1, which is 0 for every third unit
+    for input_grads in (False, True):
+        c = _forward(params, X, input_grads=input_grads)
+        assert c.gates.dtype == bool and c.gates.shape == (1300, 33)
+        assert np.array_equal(c.gates, _pre_activation(params, X) > 0.0)
+    assert not c.gates[::7, ::3].any()
+
+
 def _logit_grads(params, X):
-    """Logit input gradients under the ReLU gate training uses."""
-    return _forward(params, X, input_grads=True).G
+    """Logit input gradients under the ReLU gate training uses, one row per
+    row of X (_forward stores them feature-major)."""
+    return _forward(params, X, input_grads=True).G.T
 
 
 def test_input_gradient_linear_path():

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -9,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.spatial.distance import cdist, pdist
 
 from oracles import nearest_cross_cdist
+import procfair
 from procfair import pairing
 from procfair.data import Dataset
 from procfair.pairing import PairSet, build_pairs, select_eval_pairs
@@ -246,9 +251,111 @@ def test_build_pairs_with_no_pairing_columns_pairs_at_distance_zero():
     assert (nn == 0).all() and (dd == 0.0).all()
 
 
+def _search_counting_exact_pairs(a, b):
+    """_nearest_cross(a, b) and the number of (row, column) pairs whose
+    exact distance it computed."""
+    counted = []
+
+    def counting(x, y, ix, iy):
+        counted.append(len(ix))
+        return euclidean(x, y, ix, iy)
+
+    with mock.patch.object(pairing, "euclidean", counting):
+        return pairing._nearest_cross(a, b), sum(counted)
+
+
+def _assert_equals_cdist_oracle(got, a, b):
+    want = nearest_cross_cdist(a, b)
+    assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+
+
+@pytest.mark.gate
+@pytest.mark.parametrize("scale", [1e18, 1e19, 3e38, 1e39, 1e150])
+def test_float32_screen_near_overflow(scale):
+    # At 1e18 every float32 value of the screen is finite; from 1e19 on,
+    # (2 (|a| + T))^2 overflows float32 (from 3e38 on -2a does too, and from
+    # 1e39 the coordinates themselves), so every row keeps every column and
+    # the float64 distances alone decide.
+    rng = np.random.default_rng(int(np.log10(scale)))
+    a = rng.uniform(-1.0, 1.0, size=(150, 3)) * scale
+    b = rng.uniform(-1.0, 1.0, size=(90, 3)) * scale
+    b[:5] = a[:5]
+    for x, y in ((a, b), (b, a)):
+        got, exact_pairs = _search_counting_exact_pairs(x, y)
+        _assert_equals_cdist_oracle(got, x, y)
+        if scale >= 1e19:
+            assert exact_pairs == x.shape[0] * y.shape[0]
+        else:
+            assert exact_pairs < x.shape[0] * y.shape[0] / 10
+
+
+@pytest.mark.gate
+@pytest.mark.parametrize("scale", [1e-19, 1e-23, 1e-40, 1e-160, 1e-310])
+def test_float32_screen_subnormal_distances(scale):
+    # Squared distances subnormal in float32 (1e-19 and below), coordinates
+    # that underflow float32 (1e-40 and below), and distances subnormal in
+    # float64 (1e-310): the screen keeps what it cannot resolve, and the
+    # result is still cdist's.
+    rng = np.random.default_rng(7)
+    a = rng.integers(-3, 4, size=(200, 4)) * scale
+    b = rng.integers(-3, 4, size=(170, 4)) * scale
+    b[::3] += rng.integers(0, 2, size=b[::3].shape) * np.spacing(b[::3])
+    for x, y in ((a, b), (b, a)):
+        _assert_equals_cdist_oracle(pairing._nearest_cross(x, y), x, y)
+
+
+@pytest.mark.gate
+@pytest.mark.parametrize("offset", [0.0, 1e3, -1e6])
+def test_float32_screen_exact_ties_take_the_lowest_index(offset):
+    # Each row of a sits at the centre of a diamond of b rows, all at
+    # distance 1 (or equal after rounding at the offset), and b repeats
+    # itself: the lowest index of the nearest rows wins.
+    rng = np.random.default_rng(3)
+    centres = rng.integers(-50, 50, size=(300, 2)) * 4.0 + offset
+    steps = np.array([[0.0, 1.0], [1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]])
+    b = (centres[:, None, :] + steps[rng.permutation(4)]).reshape(-1, 2)
+    b = np.vstack([b, b[::-1]])
+    nn, dd = pairing._nearest_cross(centres, b)
+    _assert_equals_cdist_oracle((nn, dd), centres, b)
+    ties = cdist(centres, b) == dd[:, None]
+    assert (ties.sum(axis=1) >= 2).all() and (nn == ties.argmax(axis=1)).all()
+
+
+_SEARCH_BYTES = """
+import hashlib, sys
+import numpy as np
+from procfair.pairing import _nearest_cross
+rng = np.random.default_rng(11)
+a = rng.normal(size=(3000, 13)) + 1e3
+b = rng.normal(size=(5000, 13)) + 1e3
+b[:500] = a[:500]
+h = hashlib.sha256()
+for x, y in ((a, b), (b, a)):
+    nn, dd = _nearest_cross(x, y)
+    h.update(nn.tobytes()); h.update(dd.tobytes())
+print(h.hexdigest())
+"""
+
+
+@pytest.mark.gate
+def test_nearest_cross_bytes_independent_of_blas_threads():
+    # The float32 screen's values may round differently when BLAS splits the
+    # GEMM over threads; its proven margin must keep the result the same.
+    src = str(Path(procfair.__file__).resolve().parents[1])
+    digests = set()
+    for threads in (1, 2, 4):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", _SEARCH_BYTES], env=env, check=True,
+                              capture_output=True, text=True)
+        digests.add(proc.stdout.strip())
+    assert len(digests) == 1
+
+
 def test_build_pairs_memory_is_bounded_by_one_block():
-    # The GEMM screen block sets the working set: 128 rows x 3,000 columns x
-    # 8 B. The exact distances cover only the kept pairs, about one per row.
+    # The float32 screen block sets the working set: 128 rows x 3,000
+    # columns x 4 B. The exact distances cover only the kept pairs, about
+    # one per row.
     rng = np.random.default_rng(0)
     ds = _two_groups(rng.normal(size=(4500, 14)), 3000, sensitive_col=13)
     tracemalloc.start()
@@ -257,7 +364,7 @@ def test_build_pairs_memory_is_bounded_by_one_block():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 128 * 3000 * 8 + 2**20
+    assert peak < 2 * 128 * 3000 * 4 + 2**20
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
