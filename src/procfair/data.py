@@ -335,6 +335,7 @@ def resample_unfair(data: Dataset, dp_threshold: float, seed: int) -> Dataset:
     """Duplicate advantaged positive rows (with replacement, one at a time)
     until the dataset DP exceeds dp_threshold. Already-unfair data returns
     unchanged."""
+    _check_dp_threshold(dp_threshold)
     if dataset_dp(data) > dp_threshold:
         return data
     pool = np.flatnonzero((data.group == 1) & (data.labels == 1))
@@ -369,6 +370,11 @@ def attach_fake_sensitive(data: Dataset, seed: int) -> Dataset:
         sensitive_col=data.n_features,
         group_names=("1", "0"),
     )
+
+
+def _check_dp_threshold(dp_threshold: float) -> None:
+    if not 0.0 <= dp_threshold < 1.0:
+        raise ValueError(f"dp_threshold must lie in [0, 1), got {dp_threshold!r}")
 
 
 def _check_pearson_threshold(threshold: float) -> None:

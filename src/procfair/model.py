@@ -12,14 +12,14 @@ blocks of _BLOCK_ROWS in two passes. Pass 1 (_forward) writes each row's
 probability and ReLU gates and, for the attribution gap, the input
 gradient G of its logit, feature-major. Between the passes, one function
 per loss term (BCE, attribution gap, DP surrogate) returns its value and
-its gradient with respect to the logits (and to G) over all rows. Pass 2
-(_backprop) reads pass 1's gates and adds one h x (d + 1) product per
-block, in block order, that yields every parameter gradient. So the only
-n x h array held whole is the bool gates, and no bit depends on the BLAS
-thread count. Training,
-bce_loss_grads, gpf_loss_grads, train.dp_proxy_grads and
-MlpParams.prob_grads all run this engine, so the gradient oracles check
-the code that trains.
+its gradient with respect to the logits (and to G) over all rows; the gap
+term scatters its pair signs onto rows with np.bincount, so the engine
+needs no scipy beyond expit. Pass 2 (_backprop) reads pass 1's gates and
+adds one h x (d + 1) product per block, in block order, that yields every
+parameter gradient. So the only n x h array held whole is the bool gates,
+and no bit depends on the BLAS thread count. Training, bce_loss_grads,
+gpf_loss_grads, train.dp_proxy_grads and MlpParams.prob_grads all run
+this engine, so the gradient oracles check the code that trains.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import csr_array
 from scipy.special import expit
 
 from .data import Dataset
@@ -221,40 +220,19 @@ def _dp_term(p: np.ndarray, group: np.ndarray) -> tuple[float, np.ndarray]:
     return abs(diff), dz
 
 
-class _GapPairs(NamedTuple):
-    """The gap term's pairs with their m x k row-incidence matrices, built
-    once per training run (or per gpf_loss_grads call) by _gap_pairs."""
+def _pair_sign_scatter(S: np.ndarray, pairs: PairSet, n: int) -> np.ndarray:
+    """Accumulate per-pair l1 subgradient signs onto per-row vectors,
+    feature-major: row i of feature j in the (d, n) result is the sum of
+    S[j, p] over pairs with idx1[p] == i, less the sum over idx2[p] == i.
 
-    idx1: np.ndarray
-    idx2: np.ndarray
-    A1: csr_array
-    A2: csr_array
-
-
-def _incidence(idx: np.ndarray, m: int) -> csr_array:
-    """m x k 0/1 matrix with a 1 at (idx[p], p): row i lists the pairs that
-    reference row i, in pair order."""
-    order = np.argsort(idx, kind="stable")
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(idx, minlength=m))])
-    return csr_array((np.ones(idx.shape[0]), order, indptr), shape=(m, idx.shape[0]))
-
-
-def _gap_pairs(pairs: PairSet, m: int) -> _GapPairs:
-    return _GapPairs(pairs.idx1, pairs.idx2, _incidence(pairs.idx1, m), _incidence(pairs.idx2, m))
-
-
-def _pair_sign_scatter(S: np.ndarray, pairs: _GapPairs) -> np.ndarray:
-    """Accumulate per-pair l1 subgradient signs onto per-row vectors:
-    row i gets the sum of S[p] over pairs with idx1[p] == i, less the sum
-    over pairs with idx2[p] == i.
-
-    Each CSR product accumulates every output row from 0.0 over its pairs
-    in pair order, the order np.bincount adds its weights in, so this
-    equals the per-column bincount scatter (tests/oracles.py) bit for bit.
-    The two sums stay two products: one +-1 matrix would interleave them.
+    np.bincount adds each row's weights to 0.0 in pair order, as the
+    bincount oracle (tests/oracles.py) does, so the bits are equal. The two
+    sums stay apart: one signed pass would interleave them.
     """
-    R = pairs.A1 @ S
-    R -= pairs.A2 @ S
+    R = np.empty((S.shape[0], n))
+    for j, row in enumerate(S):
+        R[j] = np.bincount(pairs.idx1, weights=row, minlength=n)
+        R[j] -= np.bincount(pairs.idx2, weights=row, minlength=n)
     return R
 
 
@@ -294,7 +272,7 @@ def _feature_sums(A: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _gap_term(c: _Forward, pairs: _GapPairs) -> tuple[float, np.ndarray, np.ndarray]:
+def _gap_term(c: _Forward, pairs: PairSet) -> tuple[float, np.ndarray, np.ndarray]:
     """Mean l1 gap between probability-gradient explanations of paired rows.
 
     The explanation is e(x) = sigma'(z) * dz/dx = s * G. ReLU masks are held
@@ -310,7 +288,8 @@ def _gap_term(c: _Forward, pairs: _GapPairs) -> tuple[float, np.ndarray, np.ndar
     is dropped, or its buffer reused, once it is dead: glibc hands a free
     heap top above its trim threshold back to the OS, and an epoch whose
     temporaries pile up past that threshold faults all their pages in
-    again (some 3,000 minor faults an epoch on a 13,710 x 14 split).
+    again. On random 13,400-row data an epoch makes 1 to 30 minor faults
+    up to d = 17, but about 1,700 at d = 18 and 3,150 at d = 32.
     """
     s = c.p * (1.0 - c.p)
     E = c.G * s
@@ -319,14 +298,14 @@ def _gap_term(c: _Forward, pairs: _GapPairs) -> tuple[float, np.ndarray, np.ndar
     del E
     U -= V
     loss = float(_feature_sums(np.abs(U, out=V)).mean())
-    S = np.sign(U.T, out=V.reshape(U.shape[::-1]))  # (k, d), C order for the CSR products
+    S = np.sign(U, out=V)
     del U, V
-    S /= pairs.idx1.shape[0]
-    R = _pair_sign_scatter(S, pairs)
+    S /= len(pairs)
+    R = _pair_sign_scatter(S, pairs, c.G.shape[1])
     del S
-    dz = _feature_sums(R.T * c.G) * s * (1.0 - 2.0 * c.p)
-    R *= s[:, None]
-    return loss, dz, R
+    dz = _feature_sums(R * c.G) * s * (1.0 - 2.0 * c.p)
+    R *= s
+    return loss, dz, R.T
 
 
 def _backprop(
@@ -359,7 +338,7 @@ def _backprop(
 
 def _loss_grads(
     params: MlpParams, X: np.ndarray, y: np.ndarray | None = None, group: np.ndarray | None = None,
-    pairs: _GapPairs | None = None, alpha: float = 1.0, beta: float = 1.0,
+    pairs: PairSet | None = None, alpha: float = 1.0, beta: float = 1.0,
 ) -> tuple[tuple[float, float, float], dict[str, np.ndarray | float]]:
     """The loss engine: the (bce, gap, dp) term values and the gradient of
     bce + alpha * gap + beta * dp. A term runs when its input is given (y,
@@ -399,7 +378,7 @@ def gpf_loss_grads(
     if len(pairs) == 0:
         raise ValueError("pair set must be non-empty")
     X = np.asarray(X, dtype=np.float64)
-    (_, loss, _), grads = _loss_grads(params, X, pairs=_gap_pairs(pairs, X.shape[0]))
+    (_, loss, _), grads = _loss_grads(params, X, pairs=pairs)
     return loss, grads
 
 

@@ -17,6 +17,7 @@ from .data import (
     ColumnSchema,
     Dataset,
     SyntheticConfig,
+    _check_dp_threshold,
     _check_pearson_threshold,
     attach_fake_sensitive,
     generate_synthetic,
@@ -87,16 +88,16 @@ class ScenarioConfig:
         _check_spec("dataset", self.dataset, "kind", _DATASET_KEYS)
         if not isinstance(self.steps, (list, tuple)):
             raise ValueError(f"steps must be a JSON list, got {type(self.steps).__name__}")
+        range_checks = {"pearson_select": ("threshold", _check_pearson_threshold),
+                        "resample_unfair": ("dp_threshold", _check_dp_threshold)}
         for step in self.steps:
             _check_spec("step", step, "op", _STEP_KEYS)
-            if step["op"] == "pearson_select":
+            if step["op"] in range_checks:
+                key, check = range_checks[step["op"]]
                 try:
-                    _check_pearson_threshold(step["threshold"])
+                    check(step[key])
                 except ValueError as exc:
-                    raise ValueError(f"pearson_select step {exc}") from None
-            if step["op"] == "resample_unfair" and not 0.0 <= step["dp_threshold"] < 1.0:
-                raise ValueError("resample_unfair step dp_threshold must lie in [0, 1), "
-                                 f"got {step['dp_threshold']!r}")
+                    raise ValueError(f"{step['op']} step {exc}") from None
         if self.dataset["kind"] == "synthetic":  # validate eagerly, as train and mmd below
             SyntheticConfig(p=self.dataset["p"],
                             n_points=self.dataset.get("n", SyntheticConfig.n_points))
@@ -181,6 +182,10 @@ class ResultBundle:
         if not (isinstance(bundle.scenario, dict)
                 and isinstance(bundle.scenario.get("scenario_id"), str)):
             raise ValueError("bundle scenario must be a JSON object with a string scenario_id")
+        for i, report in enumerate(bundle.reports):
+            missing = [k for k in _METRIC_FIELDS if k not in report]
+            if missing:
+                raise ValueError(f"bundle report {i} lacks metric key(s): {', '.join(missing)}")
         return bundle
 
     def write(self, path: str | Path) -> None:

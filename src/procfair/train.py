@@ -27,7 +27,7 @@ from .fairness import (
     gpf_fae,
     gpf_loss,
 )
-from .model import MlpParams, _gap_pairs, _loss_grads, adam_init, adam_step, mlp_init
+from .model import MlpParams, _loss_grads, adam_init, adam_step, mlp_init
 from .pairing import build_pairs
 from .util import atomic_write_csv, check_number_fields
 
@@ -91,9 +91,8 @@ def train(data: Dataset, cfg: TrainConfig) -> tuple[MlpParams, TrainHistory]:
     so k is the pair count. Deterministic for fixed (data, cfg).
     """
     t0 = time.perf_counter()
-    pairs = None
-    if cfg.mode == "procedural":
-        pairs = _gap_pairs(build_pairs(data), data.n_rows)  # raises on single-group data
+    # build_pairs raises on single-group data
+    pairs = build_pairs(data) if cfg.mode == "procedural" else None
 
     params = mlp_init(data.n_features, cfg.hidden, cfg.seed)
     state = adam_init(params)

@@ -334,7 +334,9 @@ def test_scenario_compare_malformed_bundle_exit_1(tmp_path, capsys):
                        ("bundle scenario must be a JSON object with a string scenario_id",
                         {**good, "scenario": {"scenario_id": 7}}),
                        ("bundle scenario must be a JSON object with a string scenario_id",
-                        {**good, "scenario": {}})):
+                        {**good, "scenario": {}}),
+                       ("bundle report 0 lacks metric key(s): accuracy, dp, di, eop, eod, "
+                        "gpf_fae, gpf_loss", {**good, "reports": [{"repetition": 0}]})):
         bad_path.write_text(json.dumps(bad))
         assert main(["scenario", "compare", str(good_path), str(bad_path)]) == 1
         assert named in capsys.readouterr().err

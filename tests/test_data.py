@@ -317,6 +317,19 @@ def test_resample_unfair_errors():
         resample_unfair(unreachable, 0.15, seed=0)
 
 
+@pytest.mark.parametrize("dp_threshold", [float("nan"), -0.5, 1.0])
+def test_resample_unfair_rejects_out_of_range_threshold(dp_threshold):
+    # checked before the early return for already-unfair data
+    ds = Dataset(
+        features=np.zeros((4, 1)),
+        labels=np.array([1, 0, 0, 0]),
+        group=np.array([1, 1, 0, 0]),
+        feature_names=("f",),
+    )
+    with pytest.raises(ValueError, match=r"dp_threshold must lie in \[0, 1\)"):
+        resample_unfair(ds, dp_threshold, seed=0)
+
+
 def test_resample_unfair_contains_input_multiset(synth65_small):
     # drive DP above what the dataset already has
     target = dataset_dp(synth65_small) + 0.05

@@ -14,7 +14,6 @@ from procfair.fairness import EvalSet, MmdConfig
 from procfair.model import (
     _BLOCK_ROWS,
     MlpParams,
-    _gap_pairs,
     _loss_grads,
     bce_loss_grads,
     gpf_loss_grads,
@@ -36,7 +35,7 @@ def _engine_epoch(params, X, y, group, pairs, alpha, beta, mode):
     dp_regularized mode, the pairs in procedural mode."""
     (bce, gpf, dp), grads = _loss_grads(
         params, X, y, group if mode == "dp_regularized" else None,
-        _gap_pairs(pairs, X.shape[0]) if mode == "procedural" else None, alpha, beta)
+        pairs if mode == "procedural" else None, alpha, beta)
     return (bce + alpha * gpf + beta * dp, bce, gpf, dp), grads
 
 
