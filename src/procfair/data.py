@@ -24,6 +24,10 @@ _ROLES = {ROLE_FEATURE, ROLE_LABEL, ROLE_SENSITIVE, ROLE_DROP}
 # mapped to all-zero instead of dividing by ~0.
 _ZERO_VAR_TOL = 1e-12
 
+# load_csv reads rows in blocks of this many, and after each block drops the
+# string sharing of every column whose distinct cells pass half the rows read.
+_SHARE_CHECK_ROWS = 1024
+
 
 @dataclass(frozen=True)
 class ColumnSchema:
@@ -148,48 +152,73 @@ def load_csv(path: str | Path) -> dict[str, list[str]]:
     column name to that column's cells, in header order. A leading
     byte-order mark, as spreadsheet programs write, is skipped.
 
-    Lines starting with '#' are treated as comments. Ragged rows are
-    rejected with their 1-based data row number, and a header that repeats
-    a name is rejected with that name.
+    Lines starting with '#' and blank lines are skipped. Ragged rows (a
+    whitespace-only line among them) are rejected with their 1-based data
+    row number, and a header that repeats a name is rejected with that
+    name; each message starts with the path.
+
+    Equal cells of a column share one str object while the column keeps
+    repeating: one whose distinct cells pass half the rows read so far
+    (checked every _SHARE_CHECK_ROWS rows) stops sharing, so all-distinct
+    data holds no lookup table.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        records = (rec for rec in csv.reader(fh) if not (rec and rec[0].startswith("#")))
+        records = (rec for rec in csv.reader(fh) if rec and not rec[0].startswith("#"))
         header = next(records, None)
         if header is None:
             raise ValueError(f"{path}: empty file, no header row")
         repeated = [name for name, count in Counter(header).items() if count > 1]
         if repeated:
             raise ValueError(f"{path}: header repeats column name(s) {repeated}")
-        rows: list[list[str]] = []
+        columns: list[list[str]] = [[] for _ in header]
+        # per column: cell -> the first str read with that value, or None
+        # once the column stopped sharing
+        shared: list[dict[str, str] | None] = [{} for _ in header]
+        block: list[list[str]] = []
+        n_read = 0
         for rec in records:
             if len(rec) != len(header):
                 raise ValueError(
-                    f"row {len(rows) + 1} has {len(rec)} cells, expected {len(header)}"
+                    f"{path}: row {n_read + len(block) + 1} has {len(rec)} cells, "
+                    f"expected {len(header)}"
                 )
-            rows.append(rec)
-    cells = map(list, zip(*rows)) if rows else ([] for _ in header)
-    return dict(zip(header, cells))
+            block.append(rec)
+            if len(block) == _SHARE_CHECK_ROWS:
+                n_read += len(block)
+                _append_block(columns, shared, block, n_read)
+                block = []
+        _append_block(columns, shared, block, n_read + len(block))
+    return dict(zip(header, columns))
+
+
+def _append_block(columns: list[list[str]], shared: list[dict[str, str] | None],
+                  block: list[list[str]], n_read: int) -> None:
+    for j, cells in enumerate(zip(*block)):
+        seen = shared[j]
+        if seen is None:
+            columns[j].extend(cells)
+            continue
+        columns[j].extend(map(seen.setdefault, cells, cells))
+        if 2 * len(seen) > n_read:
+            shared[j] = None
 
 
 def _parse_numeric(cells: list[str]) -> np.ndarray | None:
-    """All-cells-numeric parse, or None when the column is categorical."""
+    """All-cells-numeric parse, or None when the column is categorical.
+
+    numpy parses each cell as float() does, bit for bit."""
     try:
-        return np.array([float(c) for c in cells], dtype=np.float64)
+        return np.array(cells, dtype=np.float64)
     except ValueError:
         return None
 
 
 def _encode_first_appearance(cells: list[str]) -> np.ndarray:
-    codes: dict[str, int] = {}
-    out = np.empty(len(cells), dtype=np.float64)
-    for i, c in enumerate(cells):
-        if c not in codes:
-            codes[c] = len(codes)
-        out[i] = codes[c]
-    return out
+    codes = {c: i for i, c in enumerate(dict.fromkeys(cells))}
+    return np.fromiter(map(codes.__getitem__, cells), dtype=np.float64, count=len(cells))
 
 
 def zscore(col: np.ndarray) -> np.ndarray:
@@ -206,8 +235,11 @@ def preprocess(columns: dict[str, list[str]], schema: ColumnSchema) -> Dataset:
     encode categoricals (first-appearance order), Z-score all features, and
     mirror the sensitive column into group tags.
 
-    The sensitive column stays in the feature matrix (Z-scored) so that
-    models and explanations can see it.
+    A column is numeric when every cell parses as float() parses it (numpy
+    reads the whole column in one call, with the same bits); a `nan` or
+    `inf` cell in a numeric feature or sensitive column is rejected with
+    the column and its 1-based row. The sensitive column stays in the
+    feature matrix (Z-scored) so that models and explanations can see it.
     """
     for col in schema.roles:
         if col not in columns:
@@ -240,7 +272,8 @@ def preprocess(columns: dict[str, list[str]], schema: ColumnSchema) -> Dataset:
         raise ValueError(
             f"advantaged value {schema.advantaged!r} not found in sensitive column"
         )
-    group = np.array([1 if c == schema.advantaged else 0 for c in sens_cells], dtype=np.int8)
+    group = np.fromiter(map(schema.advantaged.__eq__, sens_cells), dtype=np.int8,
+                        count=len(sens_cells))
     other = next(v for v in sens_values if v != schema.advantaged)
 
     cols: list[np.ndarray] = []

@@ -1,8 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
+from procfair import data as data_module
 from procfair.data import (
     ColumnSchema,
     Dataset,
@@ -35,12 +37,29 @@ def test_load_csv_identity(tmp_path):
     assert columns["a"] == ["1", "3", "5"]
     assert columns["s"] == ["1", "0", "1"]
 
+    # 3,000 rows cross the sharing check: the repeating column keeps one str
+    # per distinct cell, the all-distinct one stops sharing and keeps its cells
+    distinct = [repr(0.1 * i) for i in range(3000)]
+    repeating = [("Female", "Male", "Male")[i % 3] for i in range(3000)]
+    path.write_text("x,g\n" + "".join(f"{x},{g}\n" for x, g in zip(distinct, repeating)))
+    columns = load_csv(path)
+    assert columns == {"x": distinct, "g": repeating}
+    assert columns["g"][1] is columns["g"][2] is columns["g"][-1]
+    assert len({id(c) for c in columns["g"]}) == 2
+
 
 def test_load_csv_ragged_row_names_row(tmp_path):
     path = tmp_path / "t.csv"
-    path.write_text("a,b,y,s\n1,2,0,1\n3,4,1\n")
-    with pytest.raises(ValueError, match="row 2"):
-        load_csv(path)
+    for body, row, n_cells in [
+        ("1,2,0,1\n3,4,1\n", 2, 3),
+        ("1,2,0,1\n \n", 2, 1),  # a whitespace-only line is a ragged row, not a blank one
+        ("# c\n1,2,0,1\n\n3,4,1,0,9\n", 2, 5),  # comments and blank lines are not counted
+        ("".join(f"{i},2,0,1\n" for i in range(1500)) + "1,2\n", 1501, 2),
+    ]:
+        path.write_text("a,b,y,s\n" + body)
+        message = f"{path}: row {row} has {n_cells} cells, expected 4"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_csv(path)
 
 
 def test_load_csv_missing_file():
@@ -58,8 +77,15 @@ def test_load_csv_rejects_repeated_header_name(tmp_path):
 
 def test_load_csv_skips_comment_lines(tmp_path):
     path = tmp_path / "t.csv"
-    path.write_text("# config_hash=abc\na,b,y,s\n1,2,0,1\n2,1,1,0\n")
-    assert load_csv(path) == {"a": ["1", "2"], "b": ["2", "1"], "y": ["0", "1"], "s": ["1", "0"]}
+    for text in [
+        "# config_hash=abc\na,b,y,s\n1,2,0,1\n2,1,1,0\n",
+        # blank lines are skipped as comments are, a trailing one included
+        "# config_hash=abc\na,b,y,s\n1,2,0,1\n2,1,1,0\n\n",
+        "\n# config_hash=abc\n\na,b,y,s\n1,2,0,1\n\n\r\n2,1,1,0\n",
+    ]:
+        path.write_text(text)
+        assert load_csv(path) == {"a": ["1", "2"], "b": ["2", "1"], "y": ["0", "1"],
+                                  "s": ["1", "0"]}
 
 
 def test_load_csv_skips_byte_order_mark(tmp_path):
@@ -152,6 +178,25 @@ def test_preprocess_numeric_zscore_population_std():
     )
 
 
+# finite cells whose Z-score stays finite: underscores, padding, negative
+# zero, Arabic-Indic and fullwidth digits, subnormal and underflowing values
+_EDGE_CELLS = ["1_000", " 2 ", "-0", "\u0661\u0662", "\uff11.5", "\t3\n", "+.5", "5.", "1E5",
+               "4.9e-324", "1e-400", "1e100", "0.1", "-123456789.123456789", repr(2 / 3)]
+
+
+def test_numeric_parse_matches_float_bit_for_bit():
+    cells = _EDGE_CELLS + ["1e308", "nan", "-nan", "NaN", "inf", "-inf", "Infinity", "1e309"]
+    expected = np.array([float(c) for c in cells])
+    assert data_module._parse_numeric(cells).tobytes() == expected.tobytes()
+    for bad in ("0x10", "1__0", "_1", "", "1,5", "abc"):
+        assert data_module._parse_numeric(_EDGE_CELLS + [bad]) is None
+    n = len(_EDGE_CELLS)
+    columns = {"x": _EDGE_CELLS, "y": ["0", "1"] * (n // 2) + ["0"], "s": ["1", "0"] * (n // 2) + ["1"]}
+    schema = ColumnSchema(roles={"x": "feature", "y": "label", "s": "sensitive"}, advantaged="1")
+    ds = preprocess(columns, schema)
+    assert ds.features[:, 0].tobytes() == zscore(expected[:n]).tobytes()
+
+
 def test_preprocess_constant_column_maps_to_zero():
     columns = {"c": ["5", "5", "5"], "y": ["0", "1", "0"], "s": ["1", "0", "1"]}
     schema = ColumnSchema(roles={"c": "feature", "y": "label", "s": "sensitive"}, advantaged="1")
@@ -182,7 +227,10 @@ def test_preprocess_sensitive_kept_as_feature_and_mirrored():
     assert ds.group_names == ("F", "M")
 
 
-@pytest.mark.parametrize("column, row, cell", [("x", 2, "nan"), ("x", 3, "-inf"), ("s", 2, "inf")])
+@pytest.mark.parametrize("column, row, cell", [
+    ("x", 2, "nan"), ("x", 3, "-inf"), ("s", 2, "inf"),
+    ("x", 1, "-nan"), ("x", 3, "Infinity"), ("s", 2, "1e309"),
+])
 def test_preprocess_rejects_non_finite_numeric_cell(column, row, cell):
     columns = {"x": ["1", "2", "3"], "y": ["0", "1", "0"], "s": ["1", "0", "1"]}
     columns[column][row - 1] = cell
