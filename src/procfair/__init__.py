@@ -28,13 +28,10 @@ from .model import (
     MlpParams,
     adam_init,
     adam_step,
-    bce_loss_grads,
-    gpf_loss_grads,
     linear_train,
     mlp_init,
     override_sensitive_weight,
 )
-from .explain import exact_shapley
 from .fairness import (
     EvalSet,
     FairnessReport,
@@ -46,7 +43,7 @@ from .fairness import (
     gpf_fae,
     gpf_loss,
 )
-from .train import TrainConfig, TrainHistory, dp_proxy_grads, evaluate, train
+from .train import TrainConfig, TrainHistory, evaluate, train
 from .sweeps import p_sweep, sweep_p_ws, sweep_ws
 from .scenarios import (
     ResultBundle,

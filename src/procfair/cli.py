@@ -98,11 +98,17 @@ def _load_scenario(args) -> ScenarioConfig:
     return cfg
 
 
-def _cmd_generate(args) -> int:
+def _check_synthetic_flags(args, p_values) -> None:
+    """Check --out, --n and each of p_values as a synthetic p."""
     _check_out(args.out)
     _flag_checked("--n", lambda: SyntheticConfig(p=0.5, n_points=args.n))
-    cfg = _flag_checked("--p", lambda: SyntheticConfig(p=args.p, n_points=args.n, seed=args.seed))
-    data = generate_synthetic(cfg)
+    for p in p_values:
+        _flag_checked("--p", lambda: SyntheticConfig(p=p, n_points=args.n))
+
+
+def _cmd_generate(args) -> int:
+    _check_synthetic_flags(args, [args.p])
+    data = generate_synthetic(SyntheticConfig(p=args.p, n_points=args.n, seed=args.seed))
     h = config_hash({"p": args.p, "n": args.n, "seed": args.seed})
     out = Path(args.out)
     write_csv(data, out, config_hash=h)
@@ -214,12 +220,9 @@ def _cmd_scenario_compare(args) -> int:
 
 
 def _check_sweep_flags(args, p_values) -> None:
-    """Check the common sweep flags, and each of p_values as a synthetic p,
+    """Check the synthetic flags with p_values, then the common sweep flags,
     before any data is made or model fitted."""
-    _check_out(args.out)
-    _flag_checked("--n", lambda: SyntheticConfig(p=0.5, n_points=args.n))
-    for p in p_values:
-        _flag_checked("--p", lambda: SyntheticConfig(p=p, n_points=args.n))
+    _check_synthetic_flags(args, p_values)
     _flag_checked("--epochs", lambda: TrainConfig(epochs=args.epochs))
     _flag_checked("--perms", lambda: MmdConfig(n_permutations=args.perms))
     if "pearson" in args:
@@ -293,8 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="procfair", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # Flag groups shared through parents=: the scenario to load, the
-    # repetition to run, the output directory, and the sweep settings.
+    # Flag groups shared through parents=: the scenario to load, the repetition
+    # to run, the output directory, synthetic data and its CSV, the sweep settings.
     scenario_flags = argparse.ArgumentParser(add_help=False)
     scenario_flags.add_argument("--config", help="scenario config JSON")
     scenario_flags.add_argument("--preset", help="built-in preset name")
@@ -305,23 +308,22 @@ def build_parser() -> argparse.ArgumentParser:
                           help="repetition index to run")
     out_dir_flag = argparse.ArgumentParser(add_help=False)
     out_dir_flag.add_argument("--out", help="output directory (default: $PROCFAIR_OUT)")
+    synthetic_flags = argparse.ArgumentParser(add_help=False)  # generate and the sweeps
+    synthetic_flags.add_argument("--n", type=int, default=SyntheticConfig.n_points,
+                                 help="synthetic points per dataset")
+    synthetic_flags.add_argument("--seed", type=_non_negative_int, default=0)
+    synthetic_flags.add_argument("--out", required=True, help="output CSV path")
     sweep_flags = argparse.ArgumentParser(add_help=False)
-    sweep_flags.add_argument("--n", type=int, default=SyntheticConfig.n_points,
-                             help="synthetic points per dataset")
-    sweep_flags.add_argument("--seed", type=_non_negative_int, default=0)
     sweep_flags.add_argument("--epochs", type=int, default=TrainConfig.epochs)
     sweep_flags.add_argument("--perms", type=int, default=MmdConfig.n_permutations,
                              help="permutation count")
-    sweep_flags.add_argument("--out", required=True, help="output CSV path")
     pearson_flag = argparse.ArgumentParser(add_help=False)  # the sweeps that select features
     pearson_flag.add_argument("--pearson", type=float, default=0.30,
                               help="feature-selection threshold")
 
-    p = sub.add_parser("generate", help="generate a synthetic dataset CSV")
+    p = sub.add_parser("generate", parents=[synthetic_flags],
+                       help="generate a synthetic dataset CSV")
     p.add_argument("--p", type=float, required=True, help="group-bias parameter in [0,1]")
-    p.add_argument("--n", type=int, default=SyntheticConfig.n_points)
-    p.add_argument("--seed", type=_non_negative_int, default=0)
-    p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("train", parents=[scenario_flags, rep_flag, out_dir_flag],
@@ -350,19 +352,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="bias-interaction sweeps")
     sweep_sub = sweep.add_subparsers(dest="sweep_command", required=True)
-    p = sweep_sub.add_parser("ws", parents=[sweep_flags, pearson_flag],
+    p = sweep_sub.add_parser("ws", parents=[synthetic_flags, sweep_flags, pearson_flag],
                              help="sensitive-weight sweep at fixed dataset bias")
     p.add_argument("--p", type=float, default=0.65)
     p.add_argument("--ws", default="-5:5:101", help="lo:hi:count grid")
     p.set_defaults(func=_cmd_sweep_ws)
 
-    p = sweep_sub.add_parser("p", parents=[sweep_flags],
+    p = sweep_sub.add_parser("p", parents=[synthetic_flags, sweep_flags],
                              help="dataset-bias sweep with regularized training")
     p.add_argument("--p", default="0.5:0.65:20", help="lo:hi:count grid")
     p.add_argument("--alpha", type=float, default=0.5, help="regularizer weight")
     p.set_defaults(func=_cmd_sweep_p)
 
-    p = sweep_sub.add_parser("grid", parents=[sweep_flags, pearson_flag],
+    p = sweep_sub.add_parser("grid", parents=[synthetic_flags, sweep_flags, pearson_flag],
                              help="full p x ws grid")
     p.add_argument("--p", default="0.3:0.7:50", help="lo:hi:count grid")
     p.add_argument("--ws", default="-5:5:50", help="lo:hi:count grid")

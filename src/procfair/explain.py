@@ -1,5 +1,4 @@
-"""Post-hoc feature attributions of a predict callable: a KernelSHAP
-solver and a brute-force exact Shapley oracle for testing.
+"""Post-hoc feature attributions of a predict callable by KernelSHAP.
 
 The pipeline explains the pre-sigmoid logit (pass `params.logits`).
 """
@@ -163,40 +162,3 @@ def kernel_shap_batch(
     phi[:, -1] = (fx - base) - phi[:, :-1].sum(axis=1)
     return phi, base
 
-
-def exact_shapley(
-    predict: Callable[[np.ndarray], np.ndarray],
-    x: np.ndarray,
-    background: np.ndarray,
-) -> tuple[np.ndarray, float]:
-    """Exact Shapley values by full subset enumeration (d <= 12).
-
-    v(S) is the mean model output with x on S and background rows off S,
-    matching the KernelSHAP value function, so exhaustive KernelSHAP and
-    this oracle agree.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    background = np.atleast_2d(np.asarray(background, dtype=np.float64))
-    d = x.shape[0]
-    if d > 12:
-        raise ValueError("exact_shapley enumerates 2^d subsets; d must be <= 12")
-    codes = np.arange(2**d, dtype=np.uint32)
-    masks = (codes[:, None] >> np.arange(d)) & 1 == 1
-    b = background.shape[0]
-    mixed = np.where(masks[:, None, :], x[None, None, :], background[None, :, :])
-    v = predict(mixed.reshape(-1, d)).reshape(2**d, b).mean(axis=1)
-
-    sizes = masks.sum(axis=1)
-    fact = [math.factorial(k) for k in range(d + 1)]
-    weights_by_size = np.array(
-        [fact[s] * fact[d - s - 1] / fact[d] for s in range(d)], dtype=np.float64
-    )
-    phi = np.empty(d, dtype=np.float64)
-    for i in range(d):
-        bit = np.uint32(1 << i)
-        without = (codes & bit) == 0
-        s_codes = codes[without]
-        phi[i] = float(
-            (weights_by_size[sizes[without]] * (v[s_codes | bit] - v[s_codes])).sum()
-        )
-    return phi, float(v[0])

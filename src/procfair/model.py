@@ -35,7 +35,7 @@ from scipy.special import expit
 from .data import Dataset
 from .fairness import _advantaged
 from .pairing import PairSet
-from .util import atomic_write_json, from_fields
+from .util import atomic_write_json, check_number_fields, from_fields
 
 _LOG_CLAMP = 1e-12
 # Rows per block of the loss engine. Of 256, 512 and 1,024 rows, 512 gave
@@ -44,6 +44,15 @@ _LOG_CLAMP = 1e-12
 # size 32 a block of float64 activations is 128 KiB.
 _BLOCK_ROWS = 512
 MODEL_FORMAT_VERSION = "1"
+
+
+def _weights(params, name: str, ndim: int) -> np.ndarray:
+    """Field `name` of params as a float64 array of ndim dimensions."""
+    value = np.asarray(getattr(params, name), dtype=np.float64)
+    if value.ndim != ndim:
+        raise ValueError(f"{name} must be a {('vector', 'matrix')[ndim - 1]}, "
+                         f"got {value.ndim} dimension(s)")
+    return value
 
 
 @dataclass(frozen=True)
@@ -56,9 +65,8 @@ class MlpParams:
     b2: float
 
     def __post_init__(self):
-        W1 = np.asarray(self.W1, dtype=np.float64)
-        b1 = np.asarray(self.b1, dtype=np.float64)
-        w2 = np.asarray(self.w2, dtype=np.float64)
+        check_number_fields(self)
+        W1, b1, w2 = _weights(self, "W1", 2), _weights(self, "b1", 1), _weights(self, "w2", 1)
         h, d = W1.shape
         if b1.shape != (h,) or w2.shape != (h,):
             raise ValueError("inconsistent MLP parameter shapes")
@@ -107,9 +115,8 @@ class LinearParams:
     sensitive_index: int
 
     def __post_init__(self):
-        w = np.asarray(self.w, dtype=np.float64)
-        if w.ndim != 1:
-            raise ValueError("w must be a vector")
+        check_number_fields(self)
+        w = _weights(self, "w", 1)
         if not np.isfinite(w).all():
             raise ValueError("linear parameters must be finite")
         if not 0 <= self.sensitive_index < w.shape[0]:

@@ -186,6 +186,9 @@ class ResultBundle:
             missing = [k for k in _METRIC_FIELDS if k not in report]
             if missing:
                 raise ValueError(f"bundle report {i} lacks metric key(s): {', '.join(missing)}")
+            for key in _METRIC_FIELDS:
+                if report[key] is not None:
+                    check_number(f"bundle report {i} {key}", report[key], "float")
         return bundle
 
     def write(self, path: str | Path) -> None:
@@ -419,27 +422,20 @@ def emit_sensitive_attributions(params, eval_set: EvalSet, out: str | Path,
     the attributions gpf_fae tests on the same eval_set.
 
     Writes (row_ref, group, shap_sensitive) for X'1 union X'2 plus summary
-    rows with each group's mean; returns the summary statistics.
+    rows with each group's mean; returns those means.
     """
     col, pairs = eval_set.test.sensitive_col, eval_set.pairs
     if col is None:
         raise ValueError("dataset has no sensitive column to explain")
     refs = np.concatenate([pairs.idx1, pairs.idx2])
     group = np.repeat([1, 0], len(pairs))
-    phi = _pair_attributions(params, eval_set)
-    shap_s = phi[:, col]
+    shap_s = _pair_attributions(params, eval_set)[:, col]
     mean_s1 = float(shap_s[group == 1].mean())
     mean_s2 = float(shap_s[group == 0].mean())
-    summary = {
-        "mean_s1": mean_s1,
-        "mean_s2": mean_s2,
-        "mean_abs_sensitive": float(np.abs(shap_s).mean()),
-        "mean_abs_all_features": float(np.abs(phi).mean()),
-    }
     lines = [[int(i), int(g), repr(float(v))] for i, g, v in zip(refs, group, shap_s)]
     lines += [["mean_s1", 1, repr(mean_s1)], ["mean_s2", 0, repr(mean_s2)]]
     atomic_write_csv(out, ["row_ref", "group", "shap_sensitive"], lines, cfg_hash)
-    return summary
+    return {"mean_s1": mean_s1, "mean_s2": mean_s2}
 
 
 def list_presets() -> list[str]:

@@ -3,17 +3,18 @@
 Everything here deliberately avoids the library's analytic code paths:
 finite differences for gradients, subset enumeration for rank-sum,
 direct probability-gradient recomputation for explanation values, a
-one-row-at-a-time coalition evaluation for KernelSHAP, and, on the
-library's kernel set-up, an argsort split draw made afresh on every call
-for the MMD permutation test, scipy's pdist, squareform and np.median for
-that kernel set-up, full cdist rows for nearest-neighbour pairing,
-per-column np.bincount for the gap term's sign scatter, the MLP logit
-written as one expression with fresh temporaries, and a training epoch
-computed over all rows at once.
+one-row-at-a-time coalition evaluation and exact Shapley values by full
+subset enumeration for KernelSHAP, and, on the library's kernel set-up,
+an argsort split draw made afresh on every call for the MMD permutation
+test, scipy's pdist, squareform and np.median for that kernel set-up,
+full cdist rows for nearest-neighbour pairing, per-column np.bincount for
+the gap term's sign scatter, the MLP logit written as one expression with
+fresh temporaries, and a training epoch computed over all rows at once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from itertools import combinations
 
@@ -154,6 +155,40 @@ def per_row_coalition_values(predict, X: np.ndarray, background: np.ndarray,
         mixed = np.where(masks[:, None, :], X[r][None, None, :], background[None, :, :])
         out[r] = predict(mixed.reshape(c * b, d)).reshape(c, b).mean(axis=1)
     return out
+
+
+def exact_shapley(predict, x: np.ndarray, background: np.ndarray) -> tuple[np.ndarray, float]:
+    """Exact Shapley values by full subset enumeration (d <= 12).
+
+    v(S) is the mean model output with x on S and background rows off S,
+    matching the KernelSHAP value function, so exhaustive KernelSHAP and
+    this oracle agree.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    background = np.atleast_2d(np.asarray(background, dtype=np.float64))
+    d = x.shape[0]
+    if d > 12:
+        raise ValueError("exact_shapley enumerates 2^d subsets; d must be <= 12")
+    codes = np.arange(2**d, dtype=np.uint32)
+    masks = (codes[:, None] >> np.arange(d)) & 1 == 1
+    b = background.shape[0]
+    mixed = np.where(masks[:, None, :], x[None, None, :], background[None, :, :])
+    v = predict(mixed.reshape(-1, d)).reshape(2**d, b).mean(axis=1)
+
+    sizes = masks.sum(axis=1)
+    fact = [math.factorial(k) for k in range(d + 1)]
+    weights_by_size = np.array(
+        [fact[s] * fact[d - s - 1] / fact[d] for s in range(d)], dtype=np.float64
+    )
+    phi = np.empty(d, dtype=np.float64)
+    for i in range(d):
+        bit = np.uint32(1 << i)
+        without = (codes & bit) == 0
+        s_codes = codes[without]
+        phi[i] = float(
+            (weights_by_size[sizes[without]] * (v[s_codes | bit] - v[s_codes])).sum()
+        )
+    return phi, float(v[0])
 
 
 def argsort_splits(seed: int, n: int, m: int, n_permutations: int, chunk: int = 256) -> list:

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 from scipy import stats as sstats
 
-from oracles import config_away_from_kinks, finite_diff_grads, max_rel_error, random_mlp
+from oracles import (config_away_from_kinks, exact_shapley, finite_diff_grads, max_rel_error,
+                     random_mlp)
 from procfair.data import SyntheticConfig, dataset_dp, generate_synthetic, pearson_select
-from procfair.explain import exact_shapley, kernel_shap_batch
+from procfair.explain import kernel_shap_batch
 from procfair.fairness import MmdConfig, mmd_permutation_pvalue
 from procfair.model import bce_loss_grads, gpf_loss_grads, mlp_logits
 from procfair.pairing import PairSet

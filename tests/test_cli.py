@@ -336,7 +336,15 @@ def test_scenario_compare_malformed_bundle_exit_1(tmp_path, capsys):
                        ("bundle scenario must be a JSON object with a string scenario_id",
                         {**good, "scenario": {}}),
                        ("bundle report 0 lacks metric key(s): accuracy, dp, di, eop, eod, "
-                        "gpf_fae, gpf_loss", {**good, "reports": [{"repetition": 0}]})):
+                        "gpf_fae, gpf_loss", {**good, "reports": [{"repetition": 0}]}),
+                       *((f"bundle report 0 accuracy must be {problem}",
+                          {**good, "reports": [{**good["reports"][0], "accuracy": value}]})
+                         for value, problem in (({"a": 1}, "a number, got {'a': 1}"),
+                                                ("NaN", "a number, got 'NaN'"),
+                                                (True, "a number, got True"),
+                                                ("x", "a number, got 'x'"),
+                                                ([1], "a number, got [1]"),
+                                                (float("nan"), "finite, got nan")))):
         bad_path.write_text(json.dumps(bad))
         assert main(["scenario", "compare", str(good_path), str(bad_path)]) == 1
         assert named in capsys.readouterr().err

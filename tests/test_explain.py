@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from oracles import per_row_coalition_values, random_mlp
+from oracles import exact_shapley, per_row_coalition_values, random_mlp
 from procfair import explain, util
-from procfair.explain import exact_shapley, kernel_shap_batch
+from procfair.explain import kernel_shap_batch
 from procfair.model import LinearParams, MlpParams, mlp_init, mlp_logits
 
 

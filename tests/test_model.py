@@ -409,8 +409,23 @@ def test_load_params_rejects_keys_of_the_other_kind_and_wrong_sizes(tmp_path):
         _load(tmp_path, {**obj, "hidden_size": 5})
     with pytest.raises(ValueError, match="model input_size 2 does not match"):
         _load(tmp_path, {**obj, "input_size": 2})
+    # a malformed scalar or a weight array of the wrong rank is named
+    for key, value, named in (("b2", None, "b2 must be a number, got None"),
+                              ("b2", "0", "b2 must be a number, got '0'"),
+                              ("W1", 5, "W1 must be a matrix, got 0 dimension"),
+                              ("W1", [1.0, 2.0, 3.0], "W1 must be a matrix, got 1 dimension"),
+                              ("b1", [[0.0] * 4], "b1 must be a vector, got 2 dimension")):
+        with pytest.raises(ValueError, match=named):
+            _load(tmp_path, {**obj, key: value})
     lin = _saved(tmp_path, LinearParams(w=np.array([1.0, -2.0]), b=0.0, sensitive_index=1))
     with pytest.raises(ValueError, match="unknown model key\\(s\\): hidden_size"):
         _load(tmp_path, {**lin, "hidden_size": 4})
+    for key, value, named in (
+            ("sensitive_index", "1", "sensitive_index must be an integer, got '1'"),
+            ("sensitive_index", 1.0, "sensitive_index must be an integer, got 1.0"),
+            ("b", None, "b must be a number, got None"),
+            ("w", 5, "w must be a vector, got 0 dimension")):
+        with pytest.raises(ValueError, match=named):
+            _load(tmp_path, {**lin, key: value})
     with pytest.raises(ValueError, match="must be a JSON object"):
         _load(tmp_path, [lin])
