@@ -98,17 +98,16 @@ def _load_scenario(args) -> ScenarioConfig:
     return cfg
 
 
-def _check_synthetic_flags(args, p_values) -> None:
-    """Check --out, --n and each of p_values as a synthetic p."""
+def _check_synthetic_flags(args) -> None:
+    """Check the --out and --n that generate and the sweeps share."""
     _check_out(args.out)
     _flag_checked("--n", lambda: SyntheticConfig(p=0.5, n_points=args.n))
-    for p in p_values:
-        _flag_checked("--p", lambda: SyntheticConfig(p=p, n_points=args.n))
 
 
 def _cmd_generate(args) -> int:
-    _check_synthetic_flags(args, [args.p])
-    data = generate_synthetic(SyntheticConfig(p=args.p, n_points=args.n, seed=args.seed))
+    _check_synthetic_flags(args)
+    cfg = _flag_checked("--p", lambda: SyntheticConfig(p=args.p, n_points=args.n, seed=args.seed))
+    data = generate_synthetic(cfg)
     h = config_hash({"p": args.p, "n": args.n, "seed": args.seed})
     out = Path(args.out)
     write_csv(data, out, config_hash=h)
@@ -220,9 +219,11 @@ def _cmd_scenario_compare(args) -> int:
 
 
 def _check_sweep_flags(args, p_values) -> None:
-    """Check the synthetic flags with p_values, then the common sweep flags,
+    """Check the common sweep flags, and each of p_values as a synthetic p,
     before any data is made or model fitted."""
-    _check_synthetic_flags(args, p_values)
+    _check_synthetic_flags(args)
+    for p in p_values:
+        _flag_checked("--p", lambda: SyntheticConfig(p=p, n_points=args.n))
     _flag_checked("--epochs", lambda: TrainConfig(epochs=args.epochs))
     _flag_checked("--perms", lambda: MmdConfig(n_permutations=args.perms))
     if "pearson" in args:

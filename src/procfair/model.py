@@ -65,7 +65,6 @@ class MlpParams:
     b2: float
 
     def __post_init__(self):
-        check_number_fields(self)
         W1, b1, w2 = _weights(self, "W1", 2), _weights(self, "b1", 1), _weights(self, "w2", 1)
         h, d = W1.shape
         if b1.shape != (h,) or w2.shape != (h,):
@@ -115,7 +114,6 @@ class LinearParams:
     sensitive_index: int
 
     def __post_init__(self):
-        check_number_fields(self)
         w = _weights(self, "w", 1)
         if not np.isfinite(w).all():
             raise ValueError("linear parameters must be finite")
@@ -472,8 +470,8 @@ def save_params(params, path: str | Path) -> None:
 
 def load_params(path: str | Path):
     """Read a save_params file. A ValueError names an unknown or missing
-    key, an unknown kind or format version, and a size that disagrees with
-    the weights."""
+    key, an unknown kind or format version, a malformed number or weight
+    array, and a size that disagrees with the weights."""
     with open(path) as fh:
         obj = json.load(fh)
     if not isinstance(obj, dict):
@@ -487,7 +485,9 @@ def load_params(path: str | Path):
     if missing:
         raise ValueError(f"missing model key(s): {', '.join(missing)}")
     header = ("format_version", "kind", *sizes)
-    params = from_fields(cls, {k: v for k, v in obj.items() if k not in header}, "model")
+    record = {k: v for k, v in obj.items() if k not in header}
+    check_number_fields(cls, record)
+    params = from_fields(cls, record, "model")
     for key in sizes:
         if obj[key] != getattr(params, key):
             raise ValueError(f"model {key} {obj[key]!r} does not match the weights "

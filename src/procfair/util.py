@@ -121,13 +121,17 @@ def check_number(name: str, value, kind: str) -> None:
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-def check_number_fields(obj) -> None:
+def check_number_fields(obj, values: dict | None = None) -> None:
     """check_number on every dataclass field of obj annotated int or float;
-    a `float | None` field also accepts None. The annotations are read as
-    strings, so the class's module needs `from __future__ import annotations`."""
+    a `float | None` field also accepts None. Given `values`, a record read
+    from a file, obj may be the class: each field values holds is checked
+    before the class is built. The annotations are read as strings, so the
+    class's module needs `from __future__ import annotations`."""
     for f in fields(obj):
         kind, _, rest = f.type.partition(" | ")
-        value = getattr(obj, f.name)
+        if values is not None and f.name not in values:
+            continue
+        value = getattr(obj, f.name) if values is None else values[f.name]
         if kind in ("int", "float") and not (rest == "None" and value is None):
             check_number(f.name, value, kind)
 
